@@ -41,37 +41,37 @@ int main() {
   {
     JobConfig cfg = LimitedMemoryConfig(spec, shrink);
     Report("baseline (Eq.5 V, combine)",
-           RunAlgo(graph, Algo::kPageRank, EngineMode::kBPull, cfg));
+           RunAlgo(graph, AlgoKind::kPageRank, EngineMode::kBPull, cfg));
   }
   {
     JobConfig cfg = LimitedMemoryConfig(spec, shrink);
     cfg.bpull_combining = false;
     Report("no combiner (concat only)",
-           RunAlgo(graph, Algo::kPageRank, EngineMode::kBPull, cfg));
+           RunAlgo(graph, AlgoKind::kPageRank, EngineMode::kBPull, cfg));
   }
   {
     JobConfig cfg = LimitedMemoryConfig(spec, shrink);
     cfg.pre_pull = false;
     Report("no pre-pull",
-           RunAlgo(graph, Algo::kPageRank, EngineMode::kBPull, cfg));
+           RunAlgo(graph, AlgoKind::kPageRank, EngineMode::kBPull, cfg));
   }
   {
     JobConfig cfg = LimitedMemoryConfig(spec, shrink);
     cfg.vblocks_per_node = 1;
     Report("V fixed at 1/node",
-           RunAlgo(graph, Algo::kPageRank, EngineMode::kBPull, cfg));
+           RunAlgo(graph, AlgoKind::kPageRank, EngineMode::kBPull, cfg));
   }
   {
     JobConfig cfg = LimitedMemoryConfig(spec, shrink);
     cfg.vblocks_per_node = 100;
     Report("V fixed at 100/node",
-           RunAlgo(graph, Algo::kPageRank, EngineMode::kBPull, cfg));
+           RunAlgo(graph, AlgoKind::kPageRank, EngineMode::kBPull, cfg));
   }
   {
     JobConfig cfg = LimitedMemoryConfig(spec, shrink);
     cfg.page_cache_bytes_per_node = 0;
     Report("no OS page cache",
-           RunAlgo(graph, Algo::kPageRank, EngineMode::kBPull, cfg));
+           RunAlgo(graph, AlgoKind::kPageRank, EngineMode::kBPull, cfg));
   }
   std::printf(
       "\nreading: combining cuts net bytes; V=1 minimizes I/O but blows up\n"

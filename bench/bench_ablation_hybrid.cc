@@ -39,19 +39,19 @@ int main() {
   {
     JobConfig cfg = LimitedMemoryConfig(spec, shrink);
     Report("pure push",
-           RunAlgo(graph, Algo::kSssp, EngineMode::kPush, cfg));
+           RunAlgo(graph, AlgoKind::kSssp, EngineMode::kPush, cfg));
   }
   {
     JobConfig cfg = LimitedMemoryConfig(spec, shrink);
     Report("pure b-pull",
-           RunAlgo(graph, Algo::kSssp, EngineMode::kBPull, cfg));
+           RunAlgo(graph, AlgoKind::kSssp, EngineMode::kBPull, cfg));
   }
   for (int dt : {1, 2, 4, 8}) {
     JobConfig cfg = LimitedMemoryConfig(spec, shrink);
     cfg.switch_interval = dt;
     char label[64];
     std::snprintf(label, sizeof(label), "hybrid (dt=%d)", dt);
-    Report(label, RunAlgo(graph, Algo::kSssp, EngineMode::kHybrid, cfg));
+    Report(label, RunAlgo(graph, AlgoKind::kSssp, EngineMode::kHybrid, cfg));
   }
   for (EngineMode initial : {EngineMode::kPush, EngineMode::kBPull}) {
     JobConfig cfg = LimitedMemoryConfig(spec, shrink);
@@ -60,7 +60,7 @@ int main() {
     char label[64];
     std::snprintf(label, sizeof(label), "hybrid (forced start=%s)",
                   EngineModeName(initial));
-    Report(label, RunAlgo(graph, Algo::kSssp, EngineMode::kHybrid, cfg));
+    Report(label, RunAlgo(graph, AlgoKind::kSssp, EngineMode::kHybrid, cfg));
   }
   std::printf(
       "\nreading: hybrid should at least match the better fixed mode; dt=2\n"

@@ -7,30 +7,34 @@
 namespace hybridgraph {
 namespace bench {
 
-const char* AlgoName(Algo algo) {
+const char* AlgoName(AlgoKind algo) {
   switch (algo) {
-    case Algo::kPageRank:
+    case AlgoKind::kPageRank:
       return "PageRank";
-    case Algo::kSssp:
+    case AlgoKind::kSssp:
       return "SSSP";
-    case Algo::kLpa:
+    case AlgoKind::kLpa:
       return "LPA";
-    case Algo::kSa:
+    case AlgoKind::kSa:
       return "SA";
+    default:
+      break;
   }
   return "?";
 }
 
-int MaxSuperstepsFor(Algo algo) {
+int MaxSuperstepsFor(AlgoKind algo) {
   switch (algo) {
-    case Algo::kPageRank:
+    case AlgoKind::kPageRank:
       return 5;  // the paper reports 5-superstep averages
-    case Algo::kSssp:
+    case AlgoKind::kSssp:
       return 100;  // convergence cap
-    case Algo::kLpa:
+    case AlgoKind::kLpa:
       return 5;
-    case Algo::kSa:
+    case AlgoKind::kSa:
       return 50;
+    default:
+      break;
   }
   return 10;
 }
@@ -91,38 +95,26 @@ JobConfig SufficientMemoryConfig(const DatasetSpec& spec, double shrink) {
   return cfg;
 }
 
-bool ModeSupports(Algo algo, EngineMode mode) {
+bool ModeSupports(AlgoKind algo, EngineMode mode) {
   if (mode == EngineMode::kPushM) {
-    return algo == Algo::kPageRank || algo == Algo::kSssp;  // combinable only
+    // combinable only
+    return algo == AlgoKind::kPageRank || algo == AlgoKind::kSssp;
   }
   return true;
 }
 
-Result<JobStats> RunAlgo(const EdgeListGraph& graph, Algo algo, EngineMode mode,
-                         JobConfig cfg) {
+Result<JobStats> RunAlgo(const EdgeListGraph& graph, AlgoKind algo,
+                         EngineMode mode, JobConfig cfg) {
   if (cfg.max_supersteps == 30) {  // caller left the default
     cfg.max_supersteps = MaxSuperstepsFor(algo);
   }
   cfg.mode = mode;
   AlgoSpec spec;
-  switch (algo) {
-    case Algo::kPageRank:
-      spec.kind = AlgoKind::kPageRank;
-      break;
-    case Algo::kSssp:
-      // MakeEngine defaults the source to the max out-degree vertex, so the
-      // traversal covers the graph even on scale models that leave many
-      // vertices with zero out-degree.
-      spec.kind = AlgoKind::kSssp;
-      break;
-    case Algo::kLpa:
-      spec.kind = AlgoKind::kLpa;
-      break;
-    case Algo::kSa:
-      spec.kind = AlgoKind::kSa;
-      spec.sa_source_stride = 500;
-      break;
-  }
+  // MakeEngine defaults the SSSP source to the max out-degree vertex, so the
+  // traversal covers the graph even on scale models that leave many vertices
+  // with zero out-degree.
+  spec.kind = algo;
+  if (algo == AlgoKind::kSa) spec.sa_source_stride = 500;
   HG_ASSIGN_OR_RETURN(std::unique_ptr<AnyEngine> engine,
                       MakeEngine(cfg, spec));
   HG_RETURN_IF_ERROR(engine->Load(graph));

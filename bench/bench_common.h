@@ -12,13 +12,12 @@
 namespace hybridgraph {
 namespace bench {
 
-enum class Algo { kPageRank, kSssp, kLpa, kSa };
-
-const char* AlgoName(Algo algo);
+/// Printed workload name ("PageRank", "SSSP", "LPA", "SA") in bench tables.
+const char* AlgoName(AlgoKind algo);
 
 /// Supersteps per workload: PageRank and LPA report 5 supersteps like the
 /// paper; the traversal workloads run to convergence under a safety cap.
-int MaxSuperstepsFor(Algo algo);
+int MaxSuperstepsFor(AlgoKind algo);
 
 /// Extra shrink factor applied to the big Table-4 models so the whole bench
 /// suite stays fast on one core (HG_BENCH_FULL=1 disables it).
@@ -43,13 +42,13 @@ JobConfig SufficientMemoryConfig(const DatasetSpec& spec, double shrink);
 
 /// Runs `algo` under `mode` (push/pushM/pull/b-pull/hybrid) and returns the
 /// job stats. `cfg.mode` is overwritten by `mode`.
-Result<JobStats> RunAlgo(const EdgeListGraph& graph, Algo algo, EngineMode mode,
-                         JobConfig cfg);
+Result<JobStats> RunAlgo(const EdgeListGraph& graph, AlgoKind algo,
+                         EngineMode mode, JobConfig cfg);
 
 /// True when the paper ran this (algo, mode) combination (pushM requires
 /// combinable messages, so it is skipped for LPA/SA, matching the missing
 /// bars in Figs 7-9).
-bool ModeSupports(Algo algo, EngineMode mode);
+bool ModeSupports(AlgoKind algo, EngineMode mode);
 
 /// Prints the standard bench header (hardware profiles, scale note).
 void PrintHeader(const std::string& title, const std::string& paper_ref);

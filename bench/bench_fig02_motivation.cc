@@ -11,7 +11,7 @@ using namespace hybridgraph::bench;
 
 namespace {
 
-void RunSeries(Algo algo) {
+void RunSeries(AlgoKind algo) {
   const DatasetSpec spec = FindDataset("wiki").ValueOrDie();
   const double shrink = ShrinkFor(spec);
   const EdgeListGraph& graph = CachedGraph(spec, shrink);
@@ -58,8 +58,8 @@ void RunSeries(Algo algo) {
 int main() {
   PrintHeader("bench_fig02_motivation",
               "Fig 2: impact of the message buffer on push (Giraph) runtime");
-  RunSeries(Algo::kPageRank);
-  RunSeries(Algo::kSssp);
+  RunSeries(AlgoKind::kPageRank);
+  RunSeries(AlgoKind::kSssp);
   std::printf("\nexpected shape: runtime rises sharply as the buffer shrinks\n"
               "and the disk-resident message percentage climbs toward ~98%%.\n");
   return 0;

@@ -26,7 +26,7 @@ using namespace hybridgraph::bench;
 
 namespace {
 
-void RunSeries(Algo algo) {
+void RunSeries(AlgoKind algo) {
   for (const char* name : {"livej", "wiki", "orkut", "twi", "fri", "uk"}) {
     const DatasetSpec spec = FindDataset(name).ValueOrDie();
     const double shrink = ShrinkFor(spec);
@@ -84,7 +84,7 @@ Result<ModeResult> RunCrossover(const EdgeListGraph& graph,
   JobConfig cfg = LimitedMemoryConfig(spec, shrink);
   cfg.max_supersteps = 100;  // traversal: run to convergence
   const auto t0 = std::chrono::steady_clock::now();
-  auto stats = RunAlgo(graph, Algo::kSssp, mode, cfg);
+  auto stats = RunAlgo(graph, AlgoKind::kSssp, mode, cfg);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -196,8 +196,8 @@ int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_adaptive.json";
   PrintHeader("bench_fig11_13_prediction",
               "Figs 11-13: prediction accuracy of Mco, Cio(push), Cio(b-pull)");
-  RunSeries(Algo::kSssp);
-  RunSeries(Algo::kSa);
+  RunSeries(AlgoKind::kSssp);
+  RunSeries(AlgoKind::kSa);
   std::printf(
       "\nexpected shape: Cio(b-pull) most accurate (no message I/O terms),\n"
       "Cio(push) close to 1 (block-granular edge I/O damps active-set\n"

@@ -17,7 +17,7 @@ Result<JobStats> Run(EngineMode mode, DiskProfile disk) {
   const EdgeListGraph& graph = CachedGraph(spec, shrink);
   JobConfig cfg = LimitedMemoryConfig(spec, shrink, disk);
   cfg.max_supersteps = 30;
-  return RunAlgo(graph, Algo::kSssp, mode, cfg);
+  return RunAlgo(graph, AlgoKind::kSssp, mode, cfg);
 }
 
 }  // namespace

@@ -26,7 +26,7 @@ int main() {
       for (uint32_t nodes : node_counts) {
         JobConfig cfg = LimitedMemoryConfig(spec, shrink);
         cfg.num_nodes = nodes;
-        auto stats = RunAlgo(graph, Algo::kPageRank, mode, cfg);
+        auto stats = RunAlgo(graph, AlgoKind::kPageRank, mode, cfg);
         if (!stats.ok()) {
           std::printf(" %10s", "ERR");
           continue;

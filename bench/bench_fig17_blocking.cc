@@ -22,7 +22,7 @@ int main() {
          {EngineMode::kPush, EngineMode::kPushM, EngineMode::kBPull}) {
       JobConfig cfg = SufficientMemoryConfig(spec, shrink);
       cfg.max_supersteps = 5;
-      auto stats = RunAlgo(graph, Algo::kPageRank, mode, cfg);
+      auto stats = RunAlgo(graph, AlgoKind::kPageRank, mode, cfg);
       std::vector<double> col;
       if (stats.ok()) {
         for (const auto& s : stats->supersteps) {

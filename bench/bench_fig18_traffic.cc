@@ -25,7 +25,7 @@ int main() {
       JobConfig cfg = SufficientMemoryConfig(spec, shrink);
       cfg.max_supersteps = 5;
       cfg.bpull_combining = false;
-      auto stats = RunAlgo(graph, Algo::kPageRank, modes[i], cfg);
+      auto stats = RunAlgo(graph, AlgoKind::kPageRank, modes[i], cfg);
       std::vector<uint64_t> col;
       if (stats.ok()) {
         for (const auto& s : stats->supersteps) {

@@ -11,7 +11,7 @@ using namespace hybridgraph::bench;
 
 namespace {
 
-void RunSweep(const char* dataset, Algo algo) {
+void RunSweep(const char* dataset, AlgoKind algo) {
   const DatasetSpec spec = FindDataset(dataset).ValueOrDie();
   const double shrink = ShrinkFor(spec);
   const EdgeListGraph& graph = CachedGraph(spec, shrink);
@@ -22,7 +22,7 @@ void RunSweep(const char* dataset, Algo algo) {
   for (uint32_t per_node : {1u, 10u, 20u, 40u, 60u, 80u}) {
     JobConfig cfg = LimitedMemoryConfig(spec, shrink);
     cfg.vblocks_per_node = per_node;
-    if (algo == Algo::kSssp) cfg.max_supersteps = 60;
+    if (algo == AlgoKind::kSssp) cfg.max_supersteps = 60;
     auto stats = RunAlgo(graph, algo, EngineMode::kBPull, cfg);
     if (!stats.ok()) {
       std::printf("%12u FAILED\n", per_node);
@@ -34,7 +34,7 @@ void RunSweep(const char* dataset, Algo algo) {
       mem = std::max(mem, s.memory_highwater_bytes);
       io += s.io.Total();
     }
-    if (algo == Algo::kPageRank && !stats->supersteps.empty()) {
+    if (algo == AlgoKind::kPageRank && !stats->supersteps.empty()) {
       io /= stats->supersteps.size();
     }
     std::printf("%12u %14llu %14llu %12llu %12.4f\n", per_node,
@@ -50,8 +50,8 @@ int main() {
   PrintHeader("bench_fig23_25_vblocks",
               "Figs 23-25: memory, I/O and runtime vs the number of Vblocks");
   for (const char* ds : {"livej", "wiki"}) {
-    RunSweep(ds, Algo::kPageRank);
-    RunSweep(ds, Algo::kSssp);
+    RunSweep(ds, AlgoKind::kPageRank);
+    RunSweep(ds, AlgoKind::kSssp);
   }
   std::printf(
       "\nexpected shape: memory drops quickly as V grows (BR/BS shrink);\n"

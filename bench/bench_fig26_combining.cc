@@ -37,7 +37,7 @@ int main() {
       JobConfig cfg = SufficientMemoryConfig(spec, shrink);
       cfg.sending_threshold_bytes = threshold;
       cfg.push_sender_combining = sys.sender_combining;
-      auto stats = RunAlgo(graph, Algo::kPageRank, sys.mode, cfg);
+      auto stats = RunAlgo(graph, AlgoKind::kPageRank, sys.mode, cfg);
       if (!stats.ok()) {
         std::printf("%-12s %12llu FAILED\n", sys.name,
                     (unsigned long long)threshold);

@@ -26,7 +26,7 @@ struct Shape {
 };
 
 struct Workload {
-  Algo algo;
+  AlgoKind algo;
   EngineMode mode;
 };
 
@@ -103,9 +103,9 @@ int main(int argc, char** argv) {
       {"ssd", DiskProfile::Ssd(), 15},
   };
   const Workload workloads[] = {
-      {Algo::kPageRank, EngineMode::kPush},
-      {Algo::kPageRank, EngineMode::kBPull},
-      {Algo::kSssp, EngineMode::kHybrid},
+      {AlgoKind::kPageRank, EngineMode::kPush},
+      {AlgoKind::kPageRank, EngineMode::kBPull},
+      {AlgoKind::kSssp, EngineMode::kHybrid},
   };
 
   std::printf("%-4s %-16s %11s %11s %8s %12s %12s %10s %8s\n", "disk",

@@ -14,8 +14,8 @@ namespace bench {
 
 struct GridOptions {
   std::vector<std::string> datasets;
-  std::vector<Algo> algos = {Algo::kPageRank, Algo::kSssp, Algo::kLpa,
-                             Algo::kSa};
+  std::vector<AlgoKind> algos = {AlgoKind::kPageRank, AlgoKind::kSssp,
+                                 AlgoKind::kLpa, AlgoKind::kSa};
   /// Builds the config for one (dataset, shrink) cell.
   std::function<JobConfig(const DatasetSpec&, double)> make_config;
   /// Extracts the reported number from the stats.
@@ -28,7 +28,7 @@ inline void RunGrid(const GridOptions& opts) {
   const EngineMode modes[] = {EngineMode::kPush, EngineMode::kPushM,
                               EngineMode::kVPull, EngineMode::kBPull,
                               EngineMode::kHybrid};
-  for (Algo algo : opts.algos) {
+  for (AlgoKind algo : opts.algos) {
     std::printf("\n-- %s: %s --\n", AlgoName(algo), opts.metric_name);
     std::printf("%-8s", "dataset");
     for (EngineMode mode : modes) std::printf(" %12s", EngineModeName(mode));

@@ -53,7 +53,7 @@ struct Row {
   double edge_imbalance = 0;
 };
 
-Row Measure(const std::string& name, const EdgeListGraph& graph, Algo algo,
+Row Measure(const std::string& name, const EdgeListGraph& graph, AlgoKind algo,
             EngineMode mode, const JobConfig& cfg, bool* ok) {
   auto r = RunAlgo(graph, algo, mode, cfg);
   Row row;
@@ -98,20 +98,20 @@ int main(int argc, char** argv) {
   {
     JobConfig cfg = BaseConfig();
     rows.push_back(
-        Measure("pr/baseline", graph, Algo::kPageRank, EngineMode::kPush, cfg,
-                &ok));
+        Measure("pr/baseline", graph, AlgoKind::kPageRank, EngineMode::kPush,
+                cfg, &ok));
     cfg.mirror_degree_threshold = kMirrorThreshold;
     rows.push_back(
-        Measure("pr/mirror", graph, Algo::kPageRank, EngineMode::kPush, cfg,
-                &ok));
+        Measure("pr/mirror", graph, AlgoKind::kPageRank, EngineMode::kPush,
+                cfg, &ok));
     cfg.mirror_degree_threshold = 0;
     cfg.degree_balanced_partition = true;
     rows.push_back(
-        Measure("pr/balanced", graph, Algo::kPageRank, EngineMode::kPush, cfg,
-                &ok));
+        Measure("pr/balanced", graph, AlgoKind::kPageRank, EngineMode::kPush,
+                cfg, &ok));
     cfg.mirror_degree_threshold = kMirrorThreshold;
     rows.push_back(
-        Measure("pr/armor", graph, Algo::kPageRank, EngineMode::kPush, cfg,
+        Measure("pr/armor", graph, AlgoKind::kPageRank, EngineMode::kPush, cfg,
                 &ok));
   }
 
@@ -123,11 +123,11 @@ int main(int argc, char** argv) {
     JobConfig cfg = BaseConfig();
     cfg.vblocks_per_node = 8;
     rows.push_back(
-        Measure("sssp/legacy-pull", graph, Algo::kSssp, EngineMode::kBPull,
+        Measure("sssp/legacy-pull", graph, AlgoKind::kSssp, EngineMode::kBPull,
                 cfg, &ok));
     cfg.request_respond_dedup = true;
     rows.push_back(
-        Measure("sssp/dedup-pull", graph, Algo::kSssp, EngineMode::kBPull,
+        Measure("sssp/dedup-pull", graph, AlgoKind::kSssp, EngineMode::kBPull,
                 cfg, &ok));
   }
 

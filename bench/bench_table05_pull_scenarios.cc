@@ -29,7 +29,8 @@ int main() {
       {"ext-edge-v3", false, 3.0},
       {"ext-edge-v2.5", false, 2.5},
   };
-  for (Algo algo : {Algo::kPageRank, Algo::kSssp, Algo::kLpa, Algo::kSa}) {
+  for (AlgoKind algo : {AlgoKind::kPageRank, AlgoKind::kSssp, AlgoKind::kLpa,
+                        AlgoKind::kSa}) {
     std::printf("\n-- %s: modeled runtime (s) --\n", AlgoName(algo));
     std::printf("%-14s %10s %10s %10s\n", "scenario", "livej", "wiki", "orkut");
     for (const auto& sc : scenarios) {
@@ -47,7 +48,7 @@ int main() {
           cfg.vpull_vertex_cache = static_cast<uint64_t>(
               sc.cache_millions * 1e6 / spec.scale / shrink);
         }
-        if (algo == Algo::kSssp) cfg.max_supersteps = 60;
+        if (algo == AlgoKind::kSssp) cfg.max_supersteps = 60;
         auto stats = RunAlgo(graph, algo, EngineMode::kVPull, cfg);
         if (!stats.ok()) {
           std::printf(" %10s", "ERR");

@@ -6,7 +6,7 @@ set -eu
 BUILD_DIR="${1:-build-tsan}"
 
 cmake -B "$BUILD_DIR" -S . -DHG_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$BUILD_DIR" -j "$(nproc)" --target hg_util_tests hg_core_tests hg_io_tests hg_serve_tests
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target hg_util_tests hg_core_tests hg_io_tests hg_net_tests hg_serve_tests
 
 export TSAN_OPTIONS="halt_on_error=1${TSAN_OPTIONS:+ $TSAN_OPTIONS}"
 "$BUILD_DIR"/tests/hg_util_tests --gtest_filter='ThreadPool.*'
@@ -23,4 +23,7 @@ export TSAN_OPTIONS="halt_on_error=1${TSAN_OPTIONS:+ $TSAN_OPTIONS}"
 # while compute threads read through it — the mutation-observer and
 # Fetch/Cancel races live here.
 "$BUILD_DIR"/tests/hg_io_tests --gtest_filter='Prefetch*:*AsyncRead*'
-echo "TSan clean: thread pool + parallel engine + prefetch pipeline + query server tests ran race-free"
+# TcpTransport: server threads accept on the listen sockets while Shutdown
+# tears them down, and dispatch threads run handlers beside the callers.
+"$BUILD_DIR"/tests/hg_net_tests --gtest_filter='TcpTransport.*'
+echo "TSan clean: thread pool + parallel engine + prefetch pipeline + TCP transport + query server tests ran race-free"

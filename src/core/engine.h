@@ -25,8 +25,9 @@
 // This header is a facade: the BSP loop, barriers, accounting and hybrid
 // switching live in SuperstepDriver (core/superstep_driver.h); the
 // per-mode load/update/pushRes/pullRes behavior lives in the MessagePath
-// strategies under core/paths/. Engine<P> wires the block-centric paths
-// (push or pushM, plus b-pull) into one driver and forwards its public API.
+// strategies under core/paths/. Engine<P> installs the paths kModeWiring
+// lists for config.mode into one driver and forwards its public API — every
+// mode, the GAS v-pull baseline included, runs through this one engine.
 #pragma once
 
 #include <memory>
@@ -39,6 +40,7 @@
 #include "core/paths/ghp_path.h"
 #include "core/paths/push_m_path.h"
 #include "core/paths/push_path.h"
+#include "core/paths/vpull_path.h"
 #include "core/program.h"
 #include "core/run_metrics.h"
 #include "core/superstep_driver.h"
@@ -49,6 +51,45 @@
 
 namespace hybridgraph {
 
+/// One bit per MessagePath implementation, in install (= build) order.
+enum PathBits : uint8_t {
+  kPushPathBit = 1 << 0,
+  kPushMPathBit = 1 << 1,
+  kBPullPathBit = 1 << 2,
+  kAdaptivePathBit = 1 << 3,
+  kGhpPathBit = 1 << 4,
+  kVPullPathBit = 1 << 5,
+};
+
+/// Mode -> path wiring. `installed` paths occupy their registry slot so
+/// consumption can dispatch by mode; `active` ones also build their disk
+/// layout at Load and may produce. Under adaptive the per-cell path both
+/// produces and serves pulls, so push and b-pull stay installed but inactive
+/// (their drain machinery is invoked through the adaptive path, not their
+/// registry slots). Hybrid with config.hybrid_regime_graphhp additionally
+/// activates the GraphHP path (the three-regime Eq. 11 table).
+struct ModeWiring {
+  EngineMode mode;
+  uint8_t installed;
+  uint8_t active;
+};
+
+inline constexpr ModeWiring kModeWiring[] = {
+    {EngineMode::kPush, kPushPathBit | kBPullPathBit, kPushPathBit},
+    {EngineMode::kPushM, kPushMPathBit | kBPullPathBit, kPushMPathBit},
+    {EngineMode::kVPull, kVPullPathBit, kVPullPathBit},
+    {EngineMode::kBPull, kPushPathBit | kBPullPathBit, kBPullPathBit},
+    {EngineMode::kHybrid, kPushPathBit | kBPullPathBit,
+     kPushPathBit | kBPullPathBit},
+    {EngineMode::kAdaptive, kPushPathBit | kBPullPathBit | kAdaptivePathBit,
+     kAdaptivePathBit},
+    {EngineMode::kGraphHp, kPushPathBit | kBPullPathBit | kGhpPathBit,
+     kGhpPathBit},
+};
+
+static_assert(sizeof(kModeWiring) / sizeof(kModeWiring[0]) == kNumEngineModes,
+              "every EngineMode needs a row in kModeWiring");
+
 template <typename P>
 class Engine {
  public:
@@ -56,45 +97,27 @@ class Engine {
   using Message = typename P::Message;
 
   Engine(JobConfig config, P program)
-      : driver_(std::move(config), std::move(program), /*gas_engine=*/false) {
+      : driver_(std::move(config), std::move(program)) {
     StaticCheckProgram<P>();
-    const EngineMode mode = driver_.config().mode;
-    if (mode == EngineMode::kPushM) {
-      push_ = std::make_unique<PushMPath<P>>(&driver_);
-    } else {
-      push_ = std::make_unique<PushPath<P>>(&driver_);
+    const JobConfig& cfg = driver_.config();
+    ModeWiring w{};
+    for (const ModeWiring& row : kModeWiring) {
+      if (row.mode == cfg.mode) w = row;
     }
-    bpull_ = std::make_unique<BPullPath<P>>(&driver_);
-    if (mode == EngineMode::kAdaptive) {
-      adaptive_ = std::make_unique<AdaptivePath<P>>(&driver_);
+    if (cfg.mode == EngineMode::kHybrid && cfg.hybrid_regime_graphhp) {
+      w.installed |= kGhpPathBit;
+      w.active |= kGhpPathBit;
     }
-    if (mode == EngineMode::kGraphHp ||
-        (mode == EngineMode::kHybrid &&
-         driver_.config().hybrid_regime_graphhp)) {
-      ghp_ = std::make_unique<GhpPath<P>>(&driver_);
-    }
-    // Only active paths build their disk layout; the registry still knows
-    // every installed path so consumption can dispatch by mode. Under
-    // adaptive the per-cell path both produces and serves pulls, so push
-    // and b-pull stay installed but inactive (their drain machinery is
-    // invoked through the adaptive path, not their registry slots).
-    driver_.InstallPath(push_.get(),
-                        /*active=*/mode != EngineMode::kBPull &&
-                            mode != EngineMode::kAdaptive &&
-                            mode != EngineMode::kGraphHp);
-    driver_.InstallPath(bpull_.get(),
-                        /*active=*/mode == EngineMode::kBPull ||
-                            mode == EngineMode::kHybrid);
-    if (adaptive_ != nullptr) {
-      driver_.InstallPath(adaptive_.get(), /*active=*/true);
-    }
-    if (ghp_ != nullptr) {
-      driver_.InstallPath(ghp_.get(), /*active=*/true);
-    }
+    Install<PushPath<P>>(w, kPushPathBit);
+    Install<PushMPath<P>>(w, kPushMPathBit);
+    Install<BPullPath<P>>(w, kBPullPathBit);
+    adaptive_ = Install<AdaptivePath<P>>(w, kAdaptivePathBit);
+    Install<GhpPath<P>>(w, kGhpPathBit);
+    Install<VPullPath<P>>(w, kVPullPathBit);
   }
 
   /// Partitions the graph, derives Vblock counts (Eq. 5/6), builds the
-  /// disk layouts each mode needs, and initializes vertex state.
+  /// disk layouts each active path needs, and initializes vertex state.
   Status Load(const EdgeListGraph& graph) { return driver_.Load(graph); }
 
   /// Runs supersteps until convergence or config.max_supersteps.
@@ -143,12 +166,21 @@ class Engine {
   }
 
  private:
+  /// Creates and registers the path behind `bit` when the wiring installs
+  /// it; returns it (or null).
+  template <typename Path>
+  Path* Install(const ModeWiring& w, uint8_t bit) {
+    if ((w.installed & bit) == 0) return nullptr;
+    auto path = std::make_unique<Path>(&driver_);
+    Path* raw = path.get();
+    driver_.InstallPath(raw, /*active=*/(w.active & bit) != 0);
+    paths_.push_back(std::move(path));
+    return raw;
+  }
+
   SuperstepDriver<P> driver_;
-  std::unique_ptr<PushPath<P>> push_;  // PushMPath under config.mode == pushM
-  std::unique_ptr<BPullPath<P>> bpull_;
-  std::unique_ptr<AdaptivePath<P>> adaptive_;  // config.mode == kAdaptive only
-  // config.mode == kGraphHp, or kHybrid with the three-regime table enabled.
-  std::unique_ptr<GhpPath<P>> ghp_;
+  std::vector<std::unique_ptr<MessagePath<P>>> paths_;
+  AdaptivePath<P>* adaptive_ = nullptr;  // config.mode == kAdaptive only
 };
 
 }  // namespace hybridgraph

@@ -97,76 +97,62 @@ Result<EngineMode> DecideInitialMode(const JobConfig& config,
                                      const std::vector<NodeState>& nodes,
                                      const HybridFacts& facts,
                                      const InitialModeInputs& in) {
+  // Every mode but hybrid runs its own path for the whole job: push, pushM,
+  // b-pull and vpull have one direction, adaptive decides per Eblock cell
+  // inside its path, and GraphHP is push with intra-block sub-iterations
+  // (the `mode != kHybrid` tail of EvaluateSwitch never flips any of them).
+  if (config.mode != EngineMode::kHybrid) return config.mode;
   // Initial mode (Algorithm 3 line 2, Theorem 2): b-pull iff B <= |E|/2 - f.
-  switch (config.mode) {
-    case EngineMode::kPush:
-    case EngineMode::kPushM:
-    // GraphHP is push with intra-block sub-iterations; as a job mode it is
-    // fixed at job granularity (the `mode != kHybrid` tail of EvaluateSwitch
-    // never flips it).
-    case EngineMode::kGraphHp:
-      return config.mode;
-    case EngineMode::kBPull:
-      return EngineMode::kBPull;
-    case EngineMode::kAdaptive:
-      // Direction is decided per Eblock cell inside the adaptive path; the
-      // production mode never changes at job granularity.
-      return EngineMode::kAdaptive;
-    case EngineMode::kHybrid: {
-      if (config.force_initial_mode) {
-        return config.initial_mode;
-      }
-      if (config.memory_resident) {
-        // Sufficient memory: communication dominates; b-pull combines
-        // (Sec 6.1: "hybrid thereby runs b-pull" in that scenario).
-        return EngineMode::kBPull;
-      }
-      const uint64_t b_total = BTotal(config);
-      if (config.qt_use_table3_throughputs) {
-        // Theorem 2's literal sufficient condition: b-pull iff B <= |E|/2-f.
-        return (b_total != UINT64_MAX && b_total <= in.b_lower_bound)
-                   ? EngineMode::kBPull
-                   : EngineMode::kPush;
-      }
-      // Same decision as Theorem 2 ("|E| and f are available after
-      // building VE-BLOCK ... we can decide before starting"), but
-      // evaluated with the runtime model's effective costs and the job's
-      // ACTUAL initial message volume (sum of out-degrees of the
-      // initially-active vertices). For Always-Active jobs this equals
-      // |E| — the theorem's premise; for Traversal-Style jobs the tiny
-      // starting frontier correctly favours push.
-      const double mdisk_bytes =
-          (b_total == UINT64_MAX || in.initial_messages <= b_total)
-              ? 0.0
-              : static_cast<double>(in.initial_messages - b_total) *
-                    facts.msg_record_size;
-      const double mb = 1024.0 * 1024.0;
-      uint64_t adj_bytes = 0, e_bytes = 0, f_bytes = 0;
-      for (const auto& node : nodes) {
-        if (node.adj) adj_bytes += node.adj->TotalBytes();
-        if (node.ve) {
-          e_bytes += node.ve->TotalEdgeBytes();
-          f_bytes += node.ve->TotalAuxBytes();
-        }
-      }
-      const double frac = in.initial_active_frac;
-      const double fragments = static_cast<double>(in.total_fragments) * frac;
-      const double vrr_bytes =
-          fragments * static_cast<double>(facts.value_record_size);
-      const double q0 =
-          mdisk_bytes / (config.disk.rand_write_mbps * mb) +
-          (mdisk_bytes / facts.msg_record_size) *
-              config.cpu.per_spilled_message_s * config.cpu.scale -
-          fragments * config.disk.per_random_op_s -
-          vrr_bytes / (kRamMbps * mb) +
-          (static_cast<double>(adj_bytes) * frac + mdisk_bytes -
-           (e_bytes + f_bytes) * frac) /
-              (kRamMbps * mb);
-      return q0 >= 0 ? EngineMode::kBPull : EngineMode::kPush;
-    }
-    default:
-      return Status::InvalidArgument("unsupported mode");
+  if (config.force_initial_mode) {
+    return config.initial_mode;
   }
+  if (config.memory_resident) {
+    // Sufficient memory: communication dominates; b-pull combines
+    // (Sec 6.1: "hybrid thereby runs b-pull" in that scenario).
+    return EngineMode::kBPull;
+  }
+  const uint64_t b_total = BTotal(config);
+  if (config.qt_use_table3_throughputs) {
+    // Theorem 2's literal sufficient condition: b-pull iff B <= |E|/2-f.
+    return (b_total != UINT64_MAX && b_total <= in.b_lower_bound)
+               ? EngineMode::kBPull
+               : EngineMode::kPush;
+  }
+  // Same decision as Theorem 2 ("|E| and f are available after
+  // building VE-BLOCK ... we can decide before starting"), but
+  // evaluated with the runtime model's effective costs and the job's
+  // ACTUAL initial message volume (sum of out-degrees of the
+  // initially-active vertices). For Always-Active jobs this equals
+  // |E| — the theorem's premise; for Traversal-Style jobs the tiny
+  // starting frontier correctly favours push.
+  const double mdisk_bytes =
+      (b_total == UINT64_MAX || in.initial_messages <= b_total)
+          ? 0.0
+          : static_cast<double>(in.initial_messages - b_total) *
+                facts.msg_record_size;
+  const double mb = 1024.0 * 1024.0;
+  uint64_t adj_bytes = 0, e_bytes = 0, f_bytes = 0;
+  for (const auto& node : nodes) {
+    if (node.adj) adj_bytes += node.adj->TotalBytes();
+    if (node.ve) {
+      e_bytes += node.ve->TotalEdgeBytes();
+      f_bytes += node.ve->TotalAuxBytes();
+    }
+  }
+  const double frac = in.initial_active_frac;
+  const double fragments = static_cast<double>(in.total_fragments) * frac;
+  const double vrr_bytes =
+      fragments * static_cast<double>(facts.value_record_size);
+  const double q0 =
+      mdisk_bytes / (config.disk.rand_write_mbps * mb) +
+      (mdisk_bytes / facts.msg_record_size) *
+          config.cpu.per_spilled_message_s * config.cpu.scale -
+      fragments * config.disk.per_random_op_s -
+      vrr_bytes / (kRamMbps * mb) +
+      (static_cast<double>(adj_bytes) * frac + mdisk_bytes -
+       (e_bytes + f_bytes) * frac) /
+          (kRamMbps * mb);
+  return q0 >= 0 ? EngineMode::kBPull : EngineMode::kPush;
 }
 
 void EvaluateSwitch(SuperstepMetrics* m, const JobConfig& config,

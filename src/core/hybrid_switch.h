@@ -46,8 +46,7 @@ struct InitialModeInputs {
 };
 
 /// Resolves the starting production mode for config.mode (Algorithm 3 line 2;
-/// Theorem 2 for hybrid). Fails with InvalidArgument for modes the block
-/// engine does not run (vpull).
+/// Theorem 2 for hybrid). Every mode but hybrid starts in itself.
 Result<EngineMode> DecideInitialMode(const JobConfig& config,
                                      const std::vector<NodeState>& nodes,
                                      const HybridFacts& facts,

@@ -60,6 +60,9 @@ std::string EngineModeNameList() {
 }
 
 Status JobConfig::Validate(const JobFacts& facts) const {
+  if (static_cast<size_t>(mode) >= kNumEngineModes) {
+    return Status::InvalidArgument("unknown EngineMode");
+  }
   if (num_nodes == 0) {
     return Status::InvalidArgument("num_nodes must be at least 1");
   }
@@ -115,19 +118,9 @@ Status JobConfig::Validate(const JobFacts& facts) const {
         "ghp_max_local_iters must be >= 1 (the first local sweep is the "
         "global Phase B itself)");
   }
-  if (facts.vpull_engine) {
-    if (mode != EngineMode::kVPull) {
-      return Status::InvalidArgument(
-          "VPullEngine only runs EngineMode::kVPull");
-    }
-  } else {
-    if (mode == EngineMode::kVPull) {
-      return Status::InvalidArgument("use VPullEngine for EngineMode::kVPull");
-    }
-    if (mode == EngineMode::kPushM && !facts.combinable_messages) {
-      return Status::InvalidArgument(
-          "pushM (online computing) requires combinable messages");
-    }
+  if (mode == EngineMode::kPushM && !facts.combinable_messages) {
+    return Status::InvalidArgument(
+        "pushM (online computing) requires combinable messages");
   }
   if (mirror_degree_threshold > 0 && !facts.combinable_messages) {
     return Status::InvalidArgument(

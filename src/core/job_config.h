@@ -259,14 +259,11 @@ struct JobConfig {
   struct JobFacts {
     uint64_t num_vertices = UINT64_MAX;
     bool combinable_messages = true;
-    /// True when validating for VPullEngine (mode must be kVPull);
-    /// false for Engine (mode must not be kVPull).
-    bool vpull_engine = false;
   };
 
   /// Checks the config for internal consistency. The single entry point for
-  /// every precondition both engines used to assert piecemeal in Load():
-  /// mode/engine pairing, pushM-needs-combinable, enough vertices for the
+  /// every precondition the engine used to assert piecemeal in Load():
+  /// pushM-needs-combinable, enough vertices for the
   /// cluster shape, and nonsensical knobs (zero nodes, a zero sending
   /// threshold, a zero message buffer, absurd thread counts). Returns
   /// InvalidArgument with a descriptive message on the first violation.

@@ -1,5 +1,6 @@
 // The MessagePath strategy interface: one implementation per execution mode
-// (push, pushM, b-pull, vpull). The mode-agnostic SuperstepDriver owns the
+// (push, pushM, b-pull, vpull, adaptive, graphhp; hybrid switches between
+// the push and b-pull paths). The mode-agnostic SuperstepDriver owns the
 // BSP loop (Phase A barrier, Phase B barrier, aggregator exchange, promotion,
 // convergence) and calls these hooks, so the shared pipeline contains no
 // per-mode branches — a path IS the mode.
@@ -7,8 +8,8 @@
 // The paper's four operators map onto the hooks as:
 //   load()    -> Consume()/AfterConsume()   (Phase A: collect messages)
 //   update()  -> UpdateProduce()            (Phase B vertex updates)
-//   pushRes() -> ProduceVblock()/FinishProduce()/AfterProduce()
-//   pullRes() -> ServePull()                (Algorithm 2, b-pull only)
+//   pushRes() -> UpdateProduce()/AfterProduce()
+//   pullRes() -> ServePull()                (Algorithm 2, pull servers only)
 #pragma once
 
 #include <cstdint>
@@ -49,6 +50,29 @@ struct ProgramOps {
   }
 };
 
+/// What a path needs from the shared topology and which driver services
+/// apply to it. Each path fixes its value once, at construction.
+struct PathCaps {
+  /// Build-time layouts; the driver ORs them over the active paths into one
+  /// shared block topology.
+  bool needs_adjacency = false;
+  bool needs_veblocks = false;
+  /// False for paths (vpull) that predate aggregator support.
+  bool supports_aggregator = true;
+  /// Whether EvaluateSwitch/Q_t metrics apply when this path produced.
+  bool hybrid_metrics = true;
+  /// Whether this path answers Pull-Requests (implements ServePull). The
+  /// driver routes an incoming pull to the previous superstep's producer
+  /// path when it serves pulls, else to the b-pull registry slot.
+  bool serves_pulls = false;
+  /// Whether this path folds push-side sends to mirrored hot vertices into
+  /// per-node accumulator slots (degree-aware vertex mirroring). The driver
+  /// only builds the MirrorTable when an active path opts in.
+  bool mirrors_hot_vertices = false;
+
+  bool operator==(const PathCaps&) const = default;
+};
+
 /// Strategy for one execution mode. The driver invokes Consume/AfterConsume
 /// on the CONSUMER path (the previous superstep's production mode) and
 /// UpdateProduce/AfterProduce/accounting/Promote on the PRODUCER path, one
@@ -61,32 +85,11 @@ class MessagePath {
   /// The mode this path implements (its registry slot).
   virtual EngineMode mode() const = 0;
 
+  const PathCaps& caps() const { return caps_; }
+
   /// Load-time construction of whatever this path needs (stores, caches,
   /// handler state). Block paths share one topology via the driver.
   virtual Status Build(const EdgeListGraph& graph) = 0;
-
-  // Capabilities, consulted at Build time and by the driver's generic loop.
-  virtual bool needs_adjacency() const { return false; }
-  virtual bool needs_veblocks() const { return false; }
-  /// False for paths (vpull) that predate aggregator support.
-  virtual bool supports_aggregator() const { return true; }
-  /// Whether EvaluateSwitch/Q_t metrics apply when this path produced.
-  virtual bool hybrid_metrics() const { return true; }
-  /// Whether this path answers Pull-Requests (implements ServePull). The
-  /// driver routes an incoming pull to the previous superstep's producer
-  /// path when it serves pulls, else to the b-pull registry slot.
-  virtual bool serves_pulls() const { return false; }
-  /// Whether this path folds push-side sends to mirrored hot vertices into
-  /// per-node accumulator slots (degree-aware vertex mirroring). The driver
-  /// only builds the MirrorTable when a registered path opts in.
-  virtual bool mirrors_hot_vertices() const { return false; }
-  /// Whether the driver's Vblock update loop should run GraphHP-style local
-  /// sub-iterations: after the global Phase B sweep of a Vblock, keep
-  /// propagating messages along intra-Vblock edges in memory (no barrier,
-  /// no wire) until quiescence or the configured cap. Only sound for
-  /// programs whose update is a monotone idempotent fold, so paths gate
-  /// this on the program's locally-iterable trait.
-  virtual bool local_subiterations() const { return false; }
 
   /// Resets per-superstep counters and meter snapshots (producer side).
   virtual void BeginAccounting() = 0;
@@ -123,25 +126,12 @@ class MessagePath {
   virtual void Promote(uint64_t* responding_total,
                        uint64_t* inflight_messages) = 0;
 
-  // Hooks invoked from the driver's shared Vblock update loop (block paths
-  // only). Push production overrides these; pull production leaves them as
-  // no-ops (nothing is sent until next superstep's pulls).
-  virtual Status ProduceVblock(NodeState& node, uint32_t vb,
-                               const std::vector<uint8_t>& respond_in_vb,
-                               const std::vector<uint8_t>& block_values) {
-    (void)node;
-    (void)vb;
-    (void)respond_in_vb;
-    (void)block_values;
-    return Status::OK();
-  }
-  virtual Status FinishProduce(NodeState& node) {
-    (void)node;
-    return Status::OK();
-  }
+  /// Collects all vertex values from this path's stores (global, indexed by
+  /// vertex id).
+  virtual Result<std::vector<typename P::Value>> GatherValues() = 0;
 
   /// Algorithm 2 (Pull-Respond), served from the requester's thread. Only
-  /// the b-pull path implements this.
+  /// pull-serving paths (caps().serves_pulls) implement this.
   virtual Status ServePull(NodeState& node, NodeId requester, Slice payload,
                            Buffer* response) {
     (void)node;
@@ -150,6 +140,12 @@ class MessagePath {
     (void)response;
     return Status::Unimplemented("this path does not serve pulls");
   }
+
+ protected:
+  explicit MessagePath(PathCaps caps) : caps_(caps) {}
+
+ private:
+  const PathCaps caps_;
 };
 
 }  // namespace hybridgraph

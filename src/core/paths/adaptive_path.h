@@ -50,23 +50,20 @@ class AdaptivePath : public BlockPathBase<P> {
   using Value = typename P::Value;
   using Message = typename P::Message;
 
+  // Both layouts: push cells walk adjacency blocks, pull cells serve
+  // Eblocks. Q_t prediction assumes single-direction production; per-cell
+  // mixing would feed it inconsistent observations.
   explicit AdaptivePath(SuperstepDriver<P>* driver)
-      : BlockPathBase<P>(driver) {}
+      : BlockPathBase<P>(driver, {.needs_adjacency = true,
+                                  .needs_veblocks = true,
+                                  .hybrid_metrics = false,
+                                  .serves_pulls = true,
+                                  .mirrors_hot_vertices = true}) {}
 
   EngineMode mode() const override { return EngineMode::kAdaptive; }
-  // Both layouts: push cells walk adjacency blocks, pull cells serve
-  // Eblocks. The driver ORs these into one shared topology build.
-  bool needs_adjacency() const override { return true; }
-  bool needs_veblocks() const override { return true; }
-  bool serves_pulls() const override { return true; }
-  bool mirrors_hot_vertices() const override { return true; }
-  // Q_t prediction assumes single-direction production; per-cell mixing
-  // would feed it inconsistent observations.
-  bool hybrid_metrics() const override { return false; }
 
   Status Build(const EdgeListGraph& graph) override {
-    HG_RETURN_IF_ERROR(this->driver_->EnsureBlockTopology(graph));
-    this->InitPolicies();
+    HG_RETURN_IF_ERROR(BlockPathBase<P>::Build(graph));
     policy_.alpha = this->driver_->config().adaptive_alpha;
     policy_.beta = this->driver_->config().adaptive_beta;
     scratch_.assign(this->driver_->config().num_nodes, NodeScratch{});
@@ -123,17 +120,16 @@ class AdaptivePath : public BlockPathBase<P> {
       for (uint32_t k = 0; k < count; ++k) {
         uint32_t vb;
         HG_RETURN_IF_ERROR(dec.GetFixed32(&vb));
+        if (vb < first_vb || vb >= first_vb + num_local_vb) {
+          return Status::InvalidArgument("pull advert for a foreign Vblock");
+        }
         mask[y][vb - first_vb] = 1;
       }
       node.pull_advert_valid[y] = 0;  // one advert per production superstep
       node.pull_advert_staged[y].clear();
     }
 
-    BPullCollectPolicy policy;
-    policy.msg_size = P::kMessageSize;
-    policy.prepull_double = this->driver_->config().pre_pull && P::kCombinable;
-    policy.num_nodes = num_nodes;
-    policy.dedup_requests = this->driver_->config().request_respond_dedup;
+    BPullCollectPolicy policy = this->PullCollectPolicy();
     policy.request_mask = &mask;
     return CollectBPullMessages(node, partition,
                                 this->driver_->transport(), policy);
@@ -147,30 +143,14 @@ class AdaptivePath : public BlockPathBase<P> {
     // decided pull. Observability only — nothing modeled moves.
     node.inbox_next.spill()->WarmupMerge(
         this->collect_policy_.spill_merge_buffer_bytes, node.pipeline.get());
-    const RangePartition& partition = this->driver_->partition();
-    const uint32_t first_vb = partition.FirstVblockOf(node.id);
-    const uint32_t last_vb = partition.LastVblockOf(node.id);
-    const uint32_t depth = this->driver_->config().io.prefetch_depth;
-    uint32_t scheduled = 0;
-    for (uint32_t target_vb = 0;
-         target_vb < partition.num_vblocks() && scheduled < depth;
-         ++target_vb) {
-      for (uint32_t vb = first_vb; vb < last_vb && scheduled < depth; ++vb) {
-        if (!node.vblock_res_next[vb - first_vb]) continue;
-        if (!node.ve->HasEdges(vb, target_vb)) continue;
-        const RespondingStats stats =
-            CountResponding(node, vb, node.responding_next);
-        if (Decide(node, vb, target_vb, stats.active, stats.degree) !=
-            CellDecision::kPull) {
-          continue;
-        }
-        node.ve->PrefetchEblock(vb, target_vb, node.pipeline.get());
-        ++scheduled;
-      }
-    }
+    this->WarmupPullEblocks(node, [&](uint32_t vb, uint32_t target_vb) {
+      return DecideFromFlags(node, vb, target_vb, node.responding_next) ==
+             CellDecision::kPull;
+    });
     return Status::OK();
   }
 
+ protected:
   Status ProduceVblock(NodeState& node, uint32_t vb,
                        const std::vector<uint8_t>& respond_in_vb,
                        const std::vector<uint8_t>& block_values) override {
@@ -218,55 +198,10 @@ class AdaptivePath : public BlockPathBase<P> {
 
     // pushRes() for the push cells only: one adjacency block read per row
     // (same charge as pure push), messages filtered by destination cell.
-    const JobConfig& config = this->driver_->config();
-    if (node.pipeline && node.pipeline->enabled() &&
-        vb + 1 < partition.LastVblockOf(node.id)) {
-      node.adj->PrefetchBlock(vb + 1, node.pipeline.get());
-    }
-    std::vector<AdjacencyStore::VertexAdj> adj;
-    HG_RETURN_IF_ERROR(node.adj->ReadBlock(vb, &adj, node.pipeline.get()));
-    node.io.adj_edge_bytes += node.adj->BlockBytes(vb);
-    node.cpu_seconds +=
-        config.cpu.per_edge_s * static_cast<double>(node.adj->BlockEdges(vb));
-    node.edges_scanned += node.adj->BlockEdges(vb);
-
-    std::vector<uint8_t> msg_bytes(P::kMessageSize);
-    for (const auto& va : adj) {
-      const uint32_t in_block = va.id - r.begin;
-      if (!respond_in_vb[in_block]) continue;
-      const Value value = PodCodec<Value>::Decode(
-          block_values.data() + static_cast<size_t>(in_block) * P::kValueSize);
-      const uint32_t out_degree = node.vstore->OutDegree(va.id);
-      for (const auto& e : va.out) {
-        if (!push_cell[partition.VblockOf(e.dst)]) continue;
-        const Message m = this->driver_->program().GenMessage(
-            va.id, value, out_degree, e, this->driver_->ctx());
-        ++node.msgs_produced;
-        node.cpu_seconds += config.cpu.per_message_s;
-        const NodeId dst_node = partition.NodeOf(e.dst);
-        PodCodec<Message>::Encode(m, msg_bytes.data());
-        // Degree-aware mirroring: sends to a hot vertex fold into the local
-        // accumulator and ship once per (node, vertex) at FinishProduce.
-        if (this->MirrorFold(node, e.dst, msg_bytes.data())) continue;
-        if (config.push_sender_combining && P::kCombinable) {
-          const bool hit =
-              node.staging.TryCombine(dst_node, e.dst, msg_bytes.data());
-          node.cpu_seconds += config.cpu.per_combine_s;
-          if (hit) {
-            ++node.msgs_combined;
-            continue;
-          }
-        }
-        node.staging.Append(dst_node, e.dst, msg_bytes.data());
-        node.mem_highwater = std::max<uint64_t>(
-            node.mem_highwater,
-            node.staging.count(dst_node) * (4 + P::kMessageSize));
-        HG_RETURN_IF_ERROR(FlushStagedMessages(
-            node, this->driver_->transport(), dst_node, /*force=*/false,
-            config.sending_threshold_bytes, 4 + P::kMessageSize));
-      }
-    }
-    return Status::OK();
+    return this->PushVblock(node, vb, respond_in_vb, block_values,
+                            [&](VertexId dst) {
+                              return push_cell[partition.VblockOf(dst)] != 0;
+                            });
   }
 
   Status FinishProduce(NodeState& node) override {
@@ -301,121 +236,20 @@ class AdaptivePath : public BlockPathBase<P> {
     return Status::OK();
   }
 
+ public:
   Status ServePull(NodeState& node, NodeId requester, Slice payload,
                    Buffer* response) override {
     // Algorithm 2 (Pull-Respond), restricted to the cells this node decided
     // pull at production time. Runs in the requester's thread; recomputes
     // the decisions from the promoted respond flags (identical inputs →
-    // identical grid) and must not touch the production scratch.
-    NodeState::PullServe& serve = node.pull_serve[requester];
-    const JobConfig& config = this->driver_->config();
-    const RangePartition& partition = this->driver_->partition();
-    // Legacy payload = one target Vblock; the deduped request–respond form
-    // batches every target into one combined grouped-batch response.
-    std::vector<uint32_t> targets;
-    HG_RETURN_IF_ERROR(DecodePullRequestTargets(payload, &targets));
-
-    // pullRes() generates the previous superstep's messages and runs under
-    // that superstep's context (same GenMessage inputs as the push cells).
-    SuperstepContext gen_ctx = this->driver_->ctx();
-    gen_ctx.superstep = gen_ctx.superstep - 1;
-    gen_ctx.prev_aggregate = this->driver_->pull_gen_aggregate();
-
-    std::vector<GroupedBatchCodec::Group> groups;
-    std::vector<int64_t> group_of;  // dst (local to requester block) -> index
-
-    std::vector<uint8_t> value_bytes;
-    std::vector<uint8_t> msg_bytes(P::kMessageSize);
-    uint64_t produced = 0;
-    uint64_t combined_away = 0;
-
-    const uint32_t first_vb = partition.FirstVblockOf(node.id);
-    const uint32_t last_vb = partition.LastVblockOf(node.id);
-    std::vector<uint32_t> candidates;
-    for (const uint32_t target_vb : targets) {
-      const VertexRange dst_range = partition.VblockRange(target_vb);
-      group_of.assign(dst_range.size(), -1);
-
-      candidates.clear();
-      for (uint32_t vb = first_vb; vb < last_vb; ++vb) {
-        if (!node.vblock_res[vb - first_vb]) continue;
-        if (!node.ve->HasEdges(vb, target_vb)) continue;
-        const RespondingStats stats =
-            CountResponding(node, vb, node.responding);
-        if (Decide(node, vb, target_vb, stats.active, stats.degree) !=
-            CellDecision::kPull) {
-          continue;  // pushed at production time — serving would duplicate
-        }
-        candidates.push_back(vb);
-      }
-      for (size_t ci = 0; ci < candidates.size(); ++ci) {
-        const uint32_t vb = candidates[ci];
-        if (ci + 1 < candidates.size() && node.pipeline) {
-          node.ve->PrefetchEblock(candidates[ci + 1], target_vb,
-                                  node.pipeline.get());
-        }
-
-        VeBlockStore::ScanResult scan;
-        HG_RETURN_IF_ERROR(
-            node.ve->ScanEblock(vb, target_vb, &scan, node.pipeline.get()));
-        serve.io.eblock_edge_bytes += scan.edge_bytes;
-        serve.io.fragment_aux_bytes += scan.aux_bytes;
-        serve.cpu_seconds +=
-            config.cpu.per_edge_s *
-            static_cast<double>(node.ve->Index(vb, target_vb).num_edges);
-        serve.edges += node.ve->Index(vb, target_vb).num_edges;
-
-        for (const auto& frag : scan.fragments) {
-          if (!node.responding[node.LocalIdx(frag.src)]) continue;
-          HG_RETURN_IF_ERROR(
-              node.vstore->ReadValueRandom(frag.src, &value_bytes));
-          serve.io.vrr_bytes += node.vstore->record_size();
-          const Value value = PodCodec<Value>::Decode(value_bytes.data());
-          const uint32_t out_degree = node.vstore->OutDegree(frag.src);
-
-          for (const auto& e : frag.edges) {
-            const Message m = this->driver_->program().GenMessage(
-                frag.src, value, out_degree, e, gen_ctx);
-            ++produced;
-            serve.cpu_seconds += config.cpu.per_message_s;
-            int64_t& gi = group_of[e.dst - dst_range.begin];
-            if (gi < 0) {
-              gi = static_cast<int64_t>(groups.size());
-              groups.push_back({e.dst, {}});
-            }
-            auto& payloads = groups[static_cast<size_t>(gi)].payloads;
-            const bool combine = P::kCombinable && config.bpull_combining;
-            if (combine && !payloads.empty()) {
-              const Message prev =
-                  PodCodec<Message>::Decode(payloads[0].data());
-              PodCodec<Message>::Encode(P::Combine(prev, m),
-                                        payloads[0].data());
-              ++combined_away;
-            } else {
-              PodCodec<Message>::Encode(m, msg_bytes.data());
-              payloads.push_back(msg_bytes);
-              if (!combine && payloads.size() > 1) {
-                ++combined_away;  // concatenation shares the dst id on wire
-              }
-            }
-          }
-        }
-      }
-    }
-
-    serve.msgs_produced += produced;
-    serve.msgs_combined += combined_away;
-    serve.msgs_wire += produced - combined_away;
-    const uint64_t bs_bytes =
-        GroupedBatchCodec::EncodedSize(groups, P::kMessageSize);
-    serve.bs_highwater = std::max(serve.bs_highwater, bs_bytes);
-    serve.flushes +=
-        bs_bytes == 0
-            ? 0
-            : (bs_bytes + config.sending_threshold_bytes - 1) /
-                  std::max<uint64_t>(1, config.sending_threshold_bytes);
-    GroupedBatchCodec::Encode(groups, P::kMessageSize, response);
-    return Status::OK();
+    // identical grid) and must not touch the production scratch. Cells
+    // pushed at production time are skipped — serving would duplicate.
+    return this->ServePullCells(
+        node, requester, payload, response,
+        [&](uint32_t vb, uint32_t target_vb) {
+          return DecideFromFlags(node, vb, target_vb, node.responding) ==
+                 CellDecision::kPull;
+        });
   }
 
   SuperstepMetrics EndAccounting(EngineMode produce_mode,
@@ -484,6 +318,15 @@ class AdaptivePath : public BlockPathBase<P> {
       stats.degree += node.vstore->OutDegree(v);
     }
     return stats;
+  }
+
+  /// The cell decision for g_{vb, dst_vb} with the row stats counted from
+  /// the given respond flags.
+  CellDecision DecideFromFlags(const NodeState& node, uint32_t vb,
+                               uint32_t dst_vb,
+                               const std::vector<uint8_t>& flags) const {
+    const RespondingStats stats = CountResponding(node, vb, flags);
+    return Decide(node, vb, dst_vb, stats.active, stats.degree);
   }
 
   /// The pure per-cell decision for g_{vb, dst_vb} given the source row's

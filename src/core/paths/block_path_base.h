@@ -1,7 +1,9 @@
-// Shared base for the block-centric MessagePaths (push / pushM / b-pull):
-// one topology build via the driver, the push-batch apply/collect policies
-// fixed at Build() time, and the accounting/promotion plumbing that is
-// identical across the three modes.
+// Shared base for the block-centric MessagePaths (push / pushM / b-pull /
+// adaptive / graphhp): one topology build via the driver, the push-batch
+// apply/collect policies fixed at Build() time, the Phase B Vblock update
+// sweep, the one adjacency push loop (pushRes()), the one Eblock pull-serve
+// loop (pullRes()), and the accounting/promotion plumbing that is identical
+// across the modes.
 #pragma once
 
 #include <algorithm>
@@ -14,13 +16,27 @@
 #include "core/mirror_table.h"
 #include "core/superstep_accounting.h"
 #include "core/superstep_driver.h"
+#include "graph/adjacency_store.h"
+#include "graph/ve_block_store.h"
+#include "net/message_codec.h"
+#include "util/codec.h"
 
 namespace hybridgraph {
 
 template <typename P>
 class BlockPathBase : public MessagePath<P> {
  public:
-  explicit BlockPathBase(SuperstepDriver<P>* driver) : driver_(driver) {}
+  using Value = typename P::Value;
+  using Message = typename P::Message;
+
+  BlockPathBase(SuperstepDriver<P>* driver, PathCaps caps)
+      : MessagePath<P>(caps), driver_(driver) {}
+
+  Status Build(const EdgeListGraph& graph) override {
+    HG_RETURN_IF_ERROR(driver_->EnsureBlockTopology(graph));
+    InitPolicies();
+    return Status::OK();
+  }
 
   void BeginAccounting() override {
     BeginBlockAccounting(driver_->nodes(), driver_->transport());
@@ -32,7 +48,7 @@ class BlockPathBase : public MessagePath<P> {
   }
 
   Status UpdateProduce(uint32_t i) override {
-    return driver_->UpdateVblocks(driver_->nodes()[i], *this);
+    return UpdateVblocks(driver_->nodes()[i]);
   }
 
   Status AfterProduce(uint32_t i) override {
@@ -67,7 +83,321 @@ class BlockPathBase : public MessagePath<P> {
     PromoteBlockState(driver_->nodes(), responding_total, inflight_messages);
   }
 
+  Result<std::vector<Value>> GatherValues() override {
+    const RangePartition& partition = driver_->partition();
+    std::vector<Value> out(partition.num_vertices());
+    std::vector<uint8_t> values;
+    for (auto& node : driver_->nodes()) {
+      for (uint32_t vb = partition.FirstVblockOf(node.id);
+           vb < partition.LastVblockOf(node.id); ++vb) {
+        HG_RETURN_IF_ERROR(
+            node.vstore->ReadBlock(vb, &values, IoClass::kSeqRead));
+        const VertexRange r = partition.VblockRange(vb);
+        for (uint32_t i = 0; i < r.size(); ++i) {
+          out[r.begin + i] = PodCodec<Value>::Decode(
+              values.data() + static_cast<size_t>(i) * P::kValueSize);
+        }
+      }
+    }
+    return out;
+  }
+
  protected:
+  // Hooks invoked from the Vblock update sweep. Push production overrides
+  // ProduceVblock/FinishProduce; pull production leaves them as no-ops
+  // (nothing is sent until next superstep's pulls).
+
+  /// Runs after Vblock `vb`'s global update pass, with the block's values
+  /// still in hand and before the write-back and ProduceVblock. May update
+  /// more vertices (marking `block_dirty`) and rewrite the respond flags.
+  virtual Status AfterVblockUpdate(NodeState& node, uint32_t vb,
+                                   std::vector<uint8_t>& respond_in_vb,
+                                   std::vector<uint8_t>& values,
+                                   bool* block_dirty) {
+    (void)node;
+    (void)vb;
+    (void)respond_in_vb;
+    (void)values;
+    (void)block_dirty;
+    return Status::OK();
+  }
+  virtual Status ProduceVblock(NodeState& node, uint32_t vb,
+                               const std::vector<uint8_t>& respond_in_vb,
+                               const std::vector<uint8_t>& block_values) {
+    (void)node;
+    (void)vb;
+    (void)respond_in_vb;
+    (void)block_values;
+    return Status::OK();
+  }
+  virtual Status FinishProduce(NodeState& node) {
+    (void)node;
+    return Status::OK();
+  }
+
+  /// update() for vertex `v` against its in-hand Vblock record `slot`: runs
+  /// the program, counts the update, folds the aggregator partial and
+  /// charges the CPU model. A changed value is re-encoded into `slot` and
+  /// marks the block dirty.
+  UpdateResult ApplyUpdate(NodeState& node, VertexId v, uint8_t* slot,
+                           const std::vector<Message>& msgs,
+                           bool* block_dirty) {
+    P& program = driver_->program();
+    const SuperstepContext& ctx = driver_->ctx();
+    const JobConfig& config = driver_->config();
+    Value value = PodCodec<Value>::Decode(slot);
+    [[maybe_unused]] const Value old_value = value;
+    const UpdateResult res = program.Update(v, &value, msgs, ctx);
+    ++node.updated_vertices;
+    if constexpr (HasAggregator<P>) {
+      node.aggregate_partial +=
+          program.AggregateContribution(v, old_value, value, ctx);
+    }
+    node.cpu_seconds +=
+        config.cpu.per_vertex_update_s +
+        config.cpu.per_message_s * static_cast<double>(msgs.size());
+    if (res.changed) {
+      PodCodec<Value>::Encode(value, slot);
+      *block_dirty = true;
+    }
+    return res;
+  }
+
+  /// pushRes() for one Vblock: reads its adjacency block once and sends
+  /// along the out-edges of the responding vertices whose destination passes
+  /// `keep(dst)`, with hot-vertex mirroring, optional sender combining
+  /// (pushM+com, Appendix E) and threshold flushes. Vertex values are still
+  /// in hand from the update pass (compute() in Giraph is one pass), so no
+  /// extra value I/O is charged; the whole block is charged as scanned
+  /// whatever `keep` filters out.
+  template <typename Keep>
+  Status PushVblock(NodeState& node, uint32_t vb,
+                    const std::vector<uint8_t>& respond_in_vb,
+                    const std::vector<uint8_t>& block_values, Keep keep) {
+    if (std::find(respond_in_vb.begin(), respond_in_vb.end(), 1) ==
+        respond_in_vb.end()) {
+      return Status::OK();
+    }
+    const JobConfig& config = driver_->config();
+    const RangePartition& partition = driver_->partition();
+    // Stage the next Vblock's adjacency before consuming this one
+    // (responding blocks cluster, so the speculative read usually lands);
+    // a wrong guess is just dropped from the pipeline later.
+    if (node.pipeline && node.pipeline->enabled() &&
+        vb + 1 < partition.LastVblockOf(node.id)) {
+      node.adj->PrefetchBlock(vb + 1, node.pipeline.get());
+    }
+    std::vector<AdjacencyStore::VertexAdj> adj;
+    HG_RETURN_IF_ERROR(node.adj->ReadBlock(vb, &adj, node.pipeline.get()));
+    node.io.adj_edge_bytes += node.adj->BlockBytes(vb);
+    node.cpu_seconds +=
+        config.cpu.per_edge_s * static_cast<double>(node.adj->BlockEdges(vb));
+    node.edges_scanned += node.adj->BlockEdges(vb);
+
+    const VertexRange r = partition.VblockRange(vb);
+    std::vector<uint8_t> msg_bytes(P::kMessageSize);
+    for (const auto& va : adj) {
+      const uint32_t in_block = va.id - r.begin;
+      if (!respond_in_vb[in_block]) continue;
+      const Value value = PodCodec<Value>::Decode(
+          block_values.data() + static_cast<size_t>(in_block) * P::kValueSize);
+      const uint32_t out_degree = node.vstore->OutDegree(va.id);
+      for (const auto& e : va.out) {
+        if (!keep(e.dst)) continue;
+        const Message m = driver_->program().GenMessage(
+            va.id, value, out_degree, e, driver_->ctx());
+        ++node.msgs_produced;
+        node.cpu_seconds += config.cpu.per_message_s;
+        const NodeId dst_node = partition.NodeOf(e.dst);
+        PodCodec<Message>::Encode(m, msg_bytes.data());
+        // Degree-aware mirroring: sends to a hot vertex fold into the local
+        // accumulator and ship once per (node, vertex) at FinishProduce.
+        if (MirrorFold(node, e.dst, msg_bytes.data())) continue;
+        if (config.push_sender_combining && P::kCombinable) {
+          // pushM+com (Appendix E): combine with a message for the same
+          // destination still sitting in this staging buffer.
+          const bool hit =
+              node.staging.TryCombine(dst_node, e.dst, msg_bytes.data());
+          node.cpu_seconds += config.cpu.per_combine_s;
+          if (hit) {
+            ++node.msgs_combined;
+            continue;
+          }
+        }
+        node.staging.Append(dst_node, e.dst, msg_bytes.data());
+        node.mem_highwater = std::max<uint64_t>(
+            node.mem_highwater,
+            node.staging.count(dst_node) * (4 + P::kMessageSize));
+        HG_RETURN_IF_ERROR(FlushStagedMessages(
+            node, driver_->transport(), dst_node, /*force=*/false,
+            config.sending_threshold_bytes, 4 + P::kMessageSize));
+      }
+    }
+    return Status::OK();
+  }
+
+  /// Algorithm 2 (Pull-Respond) for the target Vblocks in `payload`, served
+  /// from the Eblocks g_{vb, target} of the responding local Vblocks that
+  /// pass `keep_cell(vb, target)`. Runs in the requester's thread; all
+  /// accounting goes to the per-requester staging slot (merged after the
+  /// Phase A barrier) so concurrent pulls to this node never touch its
+  /// shared counters. Target ids come off the wire and are rejected unless
+  /// they name an existing Vblock.
+  template <typename KeepCell>
+  Status ServePullCells(NodeState& node, NodeId requester, Slice payload,
+                        Buffer* response, KeepCell keep_cell) {
+    NodeState::PullServe& serve = node.pull_serve[requester];
+    const JobConfig& config = driver_->config();
+    const RangePartition& partition = driver_->partition();
+    // Legacy payload = one target Vblock; the deduped request–respond form
+    // batches every target into one round trip, answered by one combined
+    // grouped batch (targets have disjoint destination ranges, so the group
+    // lists concatenate safely).
+    std::vector<uint32_t> targets;
+    HG_RETURN_IF_ERROR(DecodePullRequestTargets(payload, &targets));
+    for (const uint32_t target_vb : targets) {
+      if (target_vb >= partition.num_vblocks()) {
+        return Status::InvalidArgument("pull request for unknown Vblock");
+      }
+    }
+
+    // pullRes() generates the messages that push's pushRes() would have sent
+    // at the previous superstep, so it runs under that superstep's context
+    // (same GenMessage inputs either way — programs stay mode-agnostic).
+    SuperstepContext gen_ctx = driver_->ctx();
+    gen_ctx.superstep = gen_ctx.superstep - 1;
+    gen_ctx.prev_aggregate = driver_->pull_gen_aggregate();
+
+    // Sending buffer BS, grouped per destination vertex.
+    std::vector<GroupedBatchCodec::Group> groups;
+    std::vector<int64_t> group_of;  // dst (local to requester block) -> index
+
+    std::vector<uint8_t> value_bytes;
+    std::vector<uint8_t> msg_bytes(P::kMessageSize);
+    uint64_t produced = 0;
+    uint64_t combined_away = 0;
+
+    const uint32_t first_vb = partition.FirstVblockOf(node.id);
+    const uint32_t last_vb = partition.LastVblockOf(node.id);
+    std::vector<uint32_t> candidates;
+    for (const uint32_t target_vb : targets) {
+      const VertexRange dst_range = partition.VblockRange(target_vb);
+      group_of.assign(dst_range.size(), -1);
+
+      // Step 1-2: X_j.res and the bitmap gate the Eblock scan. The candidate
+      // list is known up front, so the pipeline stays one Eblock ahead of
+      // the scan below.
+      candidates.clear();
+      for (uint32_t vb = first_vb; vb < last_vb; ++vb) {
+        if (!node.vblock_res[vb - first_vb]) continue;
+        if (!node.ve->HasEdges(vb, target_vb)) continue;
+        if (!keep_cell(vb, target_vb)) continue;
+        candidates.push_back(vb);
+      }
+      for (size_t ci = 0; ci < candidates.size(); ++ci) {
+        const uint32_t vb = candidates[ci];
+        if (ci + 1 < candidates.size() && node.pipeline) {
+          node.ve->PrefetchEblock(candidates[ci + 1], target_vb,
+                                  node.pipeline.get());
+        }
+
+        VeBlockStore::ScanResult scan;
+        HG_RETURN_IF_ERROR(
+            node.ve->ScanEblock(vb, target_vb, &scan, node.pipeline.get()));
+        serve.io.eblock_edge_bytes += scan.edge_bytes;
+        serve.io.fragment_aux_bytes += scan.aux_bytes;
+        // Decoding scans the whole Eblock, useless edges included (Appendix
+        // C: small V means big Eblocks whose extra edges waste
+        // bandwidth/CPU).
+        serve.cpu_seconds +=
+            config.cpu.per_edge_s *
+            static_cast<double>(node.ve->Index(vb, target_vb).num_edges);
+        serve.edges += node.ve->Index(vb, target_vb).num_edges;
+
+        for (const auto& frag : scan.fragments) {
+          if (!node.responding[node.LocalIdx(frag.src)]) continue;
+          // Random read of the source vertex triple (the IO(V_rr) cost).
+          HG_RETURN_IF_ERROR(
+              node.vstore->ReadValueRandom(frag.src, &value_bytes));
+          serve.io.vrr_bytes += node.vstore->record_size();
+          const Value value = PodCodec<Value>::Decode(value_bytes.data());
+          const uint32_t out_degree = node.vstore->OutDegree(frag.src);
+
+          for (const auto& e : frag.edges) {
+            const Message m = driver_->program().GenMessage(
+                frag.src, value, out_degree, e, gen_ctx);
+            ++produced;
+            serve.cpu_seconds += config.cpu.per_message_s;
+            int64_t& gi = group_of[e.dst - dst_range.begin];
+            if (gi < 0) {
+              gi = static_cast<int64_t>(groups.size());
+              groups.push_back({e.dst, {}});
+            }
+            auto& payloads = groups[static_cast<size_t>(gi)].payloads;
+            const bool combine = P::kCombinable && config.bpull_combining;
+            if (combine && !payloads.empty()) {
+              // Combine into the single slot.
+              const Message prev =
+                  PodCodec<Message>::Decode(payloads[0].data());
+              PodCodec<Message>::Encode(P::Combine(prev, m),
+                                        payloads[0].data());
+              ++combined_away;
+            } else {
+              PodCodec<Message>::Encode(m, msg_bytes.data());
+              payloads.push_back(msg_bytes);
+              if (!combine && payloads.size() > 1) {
+                ++combined_away;  // concatenation: shares the dst id on wire
+              }
+            }
+          }
+        }
+      }
+    }
+
+    serve.msgs_produced += produced;
+    serve.msgs_combined += combined_away;
+    serve.msgs_wire += produced - combined_away;
+    // BS memory accounting: grouped batch bytes staged before transfer.
+    const uint64_t bs_bytes =
+        GroupedBatchCodec::EncodedSize(groups, P::kMessageSize);
+    serve.bs_highwater = std::max(serve.bs_highwater, bs_bytes);
+    // Flow control: the batch ships in threshold-sized packages, one in
+    // flight.
+    serve.flushes +=
+        bs_bytes == 0
+            ? 0
+            : (bs_bytes + config.sending_threshold_bytes - 1) /
+                  std::max<uint64_t>(1, config.sending_threshold_bytes);
+    GroupedBatchCodec::Encode(groups, P::kMessageSize, response);
+    return Status::OK();
+  }
+
+  /// Next superstep's Pull-Requests will scan the Eblocks of responding
+  /// local Vblocks (vblock_res_next promotes to vblock_res at the barrier).
+  /// Stages the first few cells passing `keep_cell(vb, target)` in ascending
+  /// (target, source) order — the order requesters walk their target
+  /// Vblocks — capped at the pipeline depth so the warmup never evicts
+  /// itself. Observability only — nothing modeled moves.
+  template <typename KeepCell>
+  void WarmupPullEblocks(NodeState& node, KeepCell keep_cell) {
+    const RangePartition& partition = driver_->partition();
+    const uint32_t first_vb = partition.FirstVblockOf(node.id);
+    const uint32_t last_vb = partition.LastVblockOf(node.id);
+    const uint32_t depth = driver_->config().io.prefetch_depth;
+    uint32_t scheduled = 0;
+    for (uint32_t target_vb = 0;
+         target_vb < partition.num_vblocks() && scheduled < depth;
+         ++target_vb) {
+      for (uint32_t vb = first_vb; vb < last_vb && scheduled < depth; ++vb) {
+        if (!node.vblock_res_next[vb - first_vb]) continue;
+        if (!node.ve->HasEdges(vb, target_vb)) continue;
+        if (!keep_cell(vb, target_vb)) continue;
+        node.ve->PrefetchEblock(vb, target_vb, node.pipeline.get());
+        ++scheduled;
+      }
+    }
+  }
+
   /// Degree-aware vertex mirroring, produce side: folds one generated
   /// message into the sender-local accumulator slot when `dst` is hot.
   /// Returns true when the message was absorbed (caller skips staging).
@@ -92,8 +422,8 @@ class BlockPathBase : public MessagePath<P> {
   }
 
   /// Stages the folded mirror accumulators (ascending slot, i.e. ascending
-  /// vertex id) for their owner nodes. Call from FinishProduce() before the
-  /// force flush so every hot vertex ships at most one record per sender.
+  /// vertex id) for their owner nodes, so every hot vertex ships at most one
+  /// record per sender.
   void DrainMirrors(NodeState& node) {
     const MirrorTable* mirrors = driver_->mirror_table();
     if (mirrors == nullptr) return;
@@ -139,9 +469,125 @@ class BlockPathBase : public MessagePath<P> {
     collect_policy_.per_spilled_message_s = config.cpu.per_spilled_message_s;
   }
 
+  /// The b-pull collect policy (one Pull-Request per local Vblock, or one
+  /// batched request per node pair under dedup).
+  BPullCollectPolicy PullCollectPolicy() const {
+    const JobConfig& config = driver_->config();
+    BPullCollectPolicy policy;
+    policy.msg_size = P::kMessageSize;
+    policy.prepull_double = config.pre_pull && P::kCombinable;
+    policy.num_nodes = config.num_nodes;
+    policy.dedup_requests = config.request_respond_dedup;
+    return policy;
+  }
+
   SuperstepDriver<P>* driver_;
   PushApplyPolicy apply_policy_;
   PushCollectPolicy collect_policy_;
+
+ private:
+  /// The shared Phase B vertex-update sweep over one node's Vblocks
+  /// (update() + setResFlag); production is delegated to the
+  /// AfterVblockUpdate/ProduceVblock/FinishProduce hooks so this loop stays
+  /// mode-free.
+  Status UpdateVblocks(NodeState& node) {
+    std::fill(node.responding_next.begin(), node.responding_next.end(), 0);
+    std::fill(node.vblock_res_next.begin(), node.vblock_res_next.end(), 0);
+
+    const RangePartition& partition = driver_->partition();
+    const int superstep = driver_->superstep();
+    const uint32_t first_vb = partition.FirstVblockOf(node.id);
+    const uint32_t last_vb = partition.LastVblockOf(node.id);
+    const std::vector<Message> no_msgs;
+    std::vector<Message> msg_scratch;
+    std::vector<uint8_t> values;
+    std::vector<uint8_t> respond_in_vb;
+
+    // Precompute which Vblocks will be read this sweep, so the pipeline can
+    // stay one block ahead of the scan. Safe to hoist: the flags any_active
+    // reads (pending, active) are only mutated for vertices inside the same
+    // Vblock, after that block's own flag was computed.
+    std::vector<uint8_t> vb_active(last_vb - first_vb, 0);
+    for (uint32_t vb = first_vb; vb < last_vb; ++vb) {
+      const VertexRange r = partition.VblockRange(vb);
+      for (VertexId v = r.begin; v < r.end; ++v) {
+        const uint32_t li = node.LocalIdx(v);
+        const bool a = P::kAlwaysActive
+                           ? (superstep > 0 || node.active[li])
+                           : (node.pending.Has(li) || node.active[li]);
+        if (a) {
+          vb_active[vb - first_vb] = 1;
+          break;
+        }
+      }
+    }
+    auto prefetch_next_vblock = [&](uint32_t after_vb) {
+      if (!node.pipeline || !node.pipeline->enabled()) return;
+      for (uint32_t nvb = after_vb + 1; nvb < last_vb; ++nvb) {
+        if (vb_active[nvb - first_vb]) {
+          node.vstore->PrefetchBlock(nvb, node.pipeline.get(),
+                                     IoClass::kSeqRead);
+          return;
+        }
+      }
+    };
+
+    for (uint32_t vb = first_vb; vb < last_vb; ++vb) {
+      const VertexRange r = partition.VblockRange(vb);
+      const bool any_active = vb_active[vb - first_vb] != 0;
+      respond_in_vb.assign(r.size(), 0);
+      if (any_active) {
+        // Stage the following active Vblock before consuming this one, so
+        // its read overlaps this block's update work.
+        prefetch_next_vblock(vb);
+        // IO(V^t): scan + write back the Vblock.
+        HG_RETURN_IF_ERROR(node.vstore->ReadBlock(
+            vb, &values, IoClass::kSeqRead, node.pipeline.get()));
+        node.io.vt_bytes += node.vstore->BlockBytes(vb);
+        bool block_dirty = false;
+
+        for (VertexId v = r.begin; v < r.end; ++v) {
+          const uint32_t li = node.LocalIdx(v);
+          const bool has_msgs = node.pending.Has(li);
+          const bool run_update =
+              P::kAlwaysActive ? (superstep > 0 || node.active[li])
+                               : (has_msgs || node.active[li]);
+          if (!run_update) continue;
+
+          if (has_msgs) {
+            msg_scratch.clear();
+            const size_t count = node.pending.CountAt(li);
+            const uint8_t* data = node.pending.DataAt(li);
+            for (size_t k = 0; k < count; ++k) {
+              msg_scratch.push_back(
+                  PodCodec<Message>::Decode(data + k * P::kMessageSize));
+            }
+          }
+          const UpdateResult res = ApplyUpdate(
+              node, v,
+              values.data() + static_cast<size_t>(v - r.begin) * P::kValueSize,
+              has_msgs ? msg_scratch : no_msgs, &block_dirty);
+          if (res.respond) {
+            node.responding_next[li] = 1;
+            node.vblock_res_next[vb - first_vb] = 1;
+            respond_in_vb[v - r.begin] = 1;
+          }
+          // Consume messages.
+          if (has_msgs) node.pending.ConsumeAt(li);
+          node.active[li] = 0;
+        }
+        HG_RETURN_IF_ERROR(AfterVblockUpdate(node, vb, respond_in_vb, values,
+                                             &block_dirty));
+        if (block_dirty) {
+          HG_RETURN_IF_ERROR(
+              node.vstore->WriteBlock(vb, values, IoClass::kSeqWrite));
+          node.io.vt_bytes += node.vstore->BlockBytes(vb);
+        }
+      }
+      HG_RETURN_IF_ERROR(ProduceVblock(node, vb, respond_in_vb, values));
+    }
+    return FinishProduce(node);
+  }
 };
 
 }  // namespace hybridgraph

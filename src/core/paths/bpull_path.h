@@ -6,198 +6,42 @@
 // Production ships nothing: next superstep's pulls generate on demand.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "core/paths/block_path_base.h"
-#include "graph/ve_block_store.h"
-#include "net/message_codec.h"
-#include "util/codec.h"
 
 namespace hybridgraph {
 
 template <typename P>
 class BPullPath : public BlockPathBase<P> {
  public:
-  using Value = typename P::Value;
-  using Message = typename P::Message;
-
-  explicit BPullPath(SuperstepDriver<P>* driver) : BlockPathBase<P>(driver) {}
+  explicit BPullPath(SuperstepDriver<P>* driver)
+      : BlockPathBase<P>(driver,
+                         {.needs_veblocks = true, .serves_pulls = true}) {}
 
   EngineMode mode() const override { return EngineMode::kBPull; }
-  bool needs_veblocks() const override { return true; }
-  bool serves_pulls() const override { return true; }
-
-  Status Build(const EdgeListGraph& graph) override {
-    HG_RETURN_IF_ERROR(this->driver_->EnsureBlockTopology(graph));
-    this->InitPolicies();
-    return Status::OK();
-  }
 
   Status Consume(uint32_t i) override {
     NodeState& node = this->driver_->nodes()[i];
     node.pending.ResetCount();
     if (this->driver_->superstep() == 0) return Status::OK();
-    BPullCollectPolicy policy;
-    policy.msg_size = P::kMessageSize;
-    policy.prepull_double = this->driver_->config().pre_pull && P::kCombinable;
-    policy.num_nodes = this->driver_->config().num_nodes;
-    policy.dedup_requests = this->driver_->config().request_respond_dedup;
     return CollectBPullMessages(node, this->driver_->partition(),
-                                this->driver_->transport(), policy);
+                                this->driver_->transport(),
+                                this->PullCollectPolicy());
   }
 
   Status WarmupNextSuperstep(uint32_t i) override {
     NodeState& node = this->driver_->nodes()[i];
     if (!node.pipeline || !node.pipeline->enabled()) return Status::OK();
-    // Next superstep's Pull-Requests will scan the Eblocks of responding
-    // local Vblocks (vblock_res_next promotes to vblock_res at the barrier).
-    // Stage the first few in ascending (target, source) order — the order
-    // requesters walk their target Vblocks — capped at the pipeline depth so
-    // the warmup never evicts itself.
-    const RangePartition& partition = this->driver_->partition();
-    const uint32_t first_vb = partition.FirstVblockOf(node.id);
-    const uint32_t last_vb = partition.LastVblockOf(node.id);
-    const uint32_t depth = this->driver_->config().io.prefetch_depth;
-    uint32_t scheduled = 0;
-    for (uint32_t target_vb = 0;
-         target_vb < partition.num_vblocks() && scheduled < depth;
-         ++target_vb) {
-      for (uint32_t vb = first_vb; vb < last_vb && scheduled < depth; ++vb) {
-        if (!node.vblock_res_next[vb - first_vb]) continue;
-        if (!node.ve->HasEdges(vb, target_vb)) continue;
-        node.ve->PrefetchEblock(vb, target_vb, node.pipeline.get());
-        ++scheduled;
-      }
-    }
+    this->WarmupPullEblocks(node, [](uint32_t, uint32_t) { return true; });
     return Status::OK();
   }
 
   Status ServePull(NodeState& node, NodeId requester, Slice payload,
                    Buffer* response) override {
-    // Algorithm 2 (Pull-Respond) for Vblock b_i requested by `requester`.
-    // Runs in the requester's thread; all accounting goes to the
-    // per-requester staging slot (merged after the Phase A barrier) so
-    // concurrent pulls to this node never touch its shared counters.
-    NodeState::PullServe& serve = node.pull_serve[requester];
-    const JobConfig& config = this->driver_->config();
-    const RangePartition& partition = this->driver_->partition();
-    // Legacy payload = one target Vblock; the deduped request–respond form
-    // batches every target into one round trip, answered by one combined
-    // grouped batch (targets have disjoint destination ranges, so the group
-    // lists concatenate safely).
-    std::vector<uint32_t> targets;
-    HG_RETURN_IF_ERROR(DecodePullRequestTargets(payload, &targets));
-
-    // pullRes() generates the messages that push's pushRes() would have sent
-    // at the previous superstep, so it runs under that superstep's context
-    // (same GenMessage inputs either way — programs stay mode-agnostic).
-    SuperstepContext gen_ctx = this->driver_->ctx();
-    gen_ctx.superstep = gen_ctx.superstep - 1;
-    gen_ctx.prev_aggregate = this->driver_->pull_gen_aggregate();
-
-    // Sending buffer BS, grouped per destination vertex.
-    std::vector<GroupedBatchCodec::Group> groups;
-    std::vector<int64_t> group_of;  // dst (local to requester block) -> index
-
-    std::vector<uint8_t> value_bytes;
-    std::vector<uint8_t> msg_bytes(P::kMessageSize);
-    uint64_t produced = 0;
-    uint64_t combined_away = 0;
-
-    const uint32_t first_vb = partition.FirstVblockOf(node.id);
-    const uint32_t last_vb = partition.LastVblockOf(node.id);
-    std::vector<uint32_t> candidates;
-    for (const uint32_t target_vb : targets) {
-      const VertexRange dst_range = partition.VblockRange(target_vb);
-      group_of.assign(dst_range.size(), -1);
-
-      // Step 1-2: X_j.res and the bitmap gate the Eblock scan. The candidate
-      // list is known up front, so the pipeline stays one Eblock ahead of
-      // the scan below.
-      candidates.clear();
-      for (uint32_t vb = first_vb; vb < last_vb; ++vb) {
-        if (!node.vblock_res[vb - first_vb]) continue;
-        if (!node.ve->HasEdges(vb, target_vb)) continue;
-        candidates.push_back(vb);
-      }
-      for (size_t ci = 0; ci < candidates.size(); ++ci) {
-        const uint32_t vb = candidates[ci];
-        if (ci + 1 < candidates.size() && node.pipeline) {
-          node.ve->PrefetchEblock(candidates[ci + 1], target_vb,
-                                  node.pipeline.get());
-        }
-
-        VeBlockStore::ScanResult scan;
-        HG_RETURN_IF_ERROR(
-            node.ve->ScanEblock(vb, target_vb, &scan, node.pipeline.get()));
-        serve.io.eblock_edge_bytes += scan.edge_bytes;
-        serve.io.fragment_aux_bytes += scan.aux_bytes;
-        // Decoding scans the whole Eblock, useless edges included (Appendix
-        // C: small V means big Eblocks whose extra edges waste
-        // bandwidth/CPU).
-        serve.cpu_seconds +=
-            config.cpu.per_edge_s *
-            static_cast<double>(node.ve->Index(vb, target_vb).num_edges);
-        serve.edges += node.ve->Index(vb, target_vb).num_edges;
-
-        for (const auto& frag : scan.fragments) {
-          if (!node.responding[node.LocalIdx(frag.src)]) continue;
-          // Random read of the source vertex triple (the IO(V_rr) cost).
-          HG_RETURN_IF_ERROR(
-              node.vstore->ReadValueRandom(frag.src, &value_bytes));
-          serve.io.vrr_bytes += node.vstore->record_size();
-          const Value value = PodCodec<Value>::Decode(value_bytes.data());
-          const uint32_t out_degree = node.vstore->OutDegree(frag.src);
-
-          for (const auto& e : frag.edges) {
-            const Message m = this->driver_->program().GenMessage(
-                frag.src, value, out_degree, e, gen_ctx);
-            ++produced;
-            serve.cpu_seconds += config.cpu.per_message_s;
-            int64_t& gi = group_of[e.dst - dst_range.begin];
-            if (gi < 0) {
-              gi = static_cast<int64_t>(groups.size());
-              groups.push_back({e.dst, {}});
-            }
-            auto& payloads = groups[static_cast<size_t>(gi)].payloads;
-            const bool combine = P::kCombinable && config.bpull_combining;
-            if (combine && !payloads.empty()) {
-              // Combine into the single slot.
-              const Message prev =
-                  PodCodec<Message>::Decode(payloads[0].data());
-              PodCodec<Message>::Encode(P::Combine(prev, m),
-                                        payloads[0].data());
-              ++combined_away;
-            } else {
-              PodCodec<Message>::Encode(m, msg_bytes.data());
-              payloads.push_back(msg_bytes);
-              if (!combine && payloads.size() > 1) {
-                ++combined_away;  // concatenation: shares the dst id on wire
-              }
-            }
-          }
-        }
-      }
-    }
-
-    serve.msgs_produced += produced;
-    serve.msgs_combined += combined_away;
-    serve.msgs_wire += produced - combined_away;
-    // BS memory accounting: grouped batch bytes staged before transfer.
-    const uint64_t bs_bytes =
-        GroupedBatchCodec::EncodedSize(groups, P::kMessageSize);
-    serve.bs_highwater = std::max(serve.bs_highwater, bs_bytes);
-    // Flow control: the batch ships in threshold-sized packages, one in
-    // flight.
-    serve.flushes +=
-        bs_bytes == 0
-            ? 0
-            : (bs_bytes + config.sending_threshold_bytes - 1) /
-                  std::max<uint64_t>(1, config.sending_threshold_bytes);
-    GroupedBatchCodec::Encode(groups, P::kMessageSize, response);
-    return Status::OK();
+    // Algorithm 2 (Pull-Respond) over every responding Eblock.
+    return this->ServePullCells(node, requester, payload, response,
+                                [](uint32_t, uint32_t) { return true; });
   }
 };
 

@@ -1,21 +1,19 @@
 // The GraphHP MessagePath (EngineMode::kGraphHp): push production with
 // intra-block asynchrony in the style of GraphHP (arXiv:1706.07221).
 //
-// The driver's Phase B sweep runs each Vblock's *inner* vertices (every edge
-// inside the Vblock) to local convergence in memory right after the global
-// update pass — see SuperstepDriver::RunLocalSubIterations — so only
-// boundary traffic crosses the barrier, through the unchanged push staging /
-// flush / inbox machinery. This path contributes the two mode-specific
-// halves:
+// The Phase B sweep runs each Vblock's *inner* vertices (every edge inside
+// the Vblock) to local convergence in memory right after the global update
+// pass — see AfterVblockUpdate below — so only boundary traffic crosses the
+// barrier, through the unchanged push staging / flush / inbox machinery.
+// Both mode-specific halves are gated on the program's locally-iterable
+// trait (monotone idempotent folds like SSSP/BFS/WCC); for any other program
+// (PageRank's sum) this path behaves EXACTLY like PushPath — same messages,
+// same bytes, same supersteps:
 //
-//   * local_subiterations() opts the driver's sweep in, gated on the
-//     program's locally-iterable trait (monotone idempotent folds like
-//     SSSP/BFS/WCC). For any other program (PageRank's sum) the gate is off
-//     and this path behaves EXACTLY like PushPath — same messages, same
-//     bytes, same supersteps.
-//   * ProduceVblock skips intra-Vblock edges when (and only when) the
-//     sub-iterations ran: their messages were delivered in memory or carried
-//     into the inbox already; producing them again would double-deliver.
+//   * AfterVblockUpdate runs the local sub-iterations;
+//   * ProduceVblock skips intra-Vblock edges: their messages were delivered
+//     in memory or carried into the inbox already; producing them again
+//     would double-deliver.
 //
 // Everything else — Consume, warmup, flush, accounting, mirrors — is
 // inherited from PushPath unchanged, which is what keeps the differential
@@ -23,10 +21,15 @@
 // literally the push code.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "core/paths/push_path.h"
+#include "core/trace.h"
+#include "util/failpoint.h"
 
 namespace hybridgraph {
 
@@ -36,14 +39,16 @@ class GhpPath : public PushPath<P> {
   using Value = typename P::Value;
   using Message = typename P::Message;
 
-  explicit GhpPath(SuperstepDriver<P>* driver) : PushPath<P>(driver) {}
-
-  EngineMode mode() const override { return EngineMode::kGraphHp; }
   /// The boundary/inner split and the inner-adjacency sidecar live in the
   /// VE-BLOCK store.
-  bool needs_veblocks() const override { return true; }
-  bool local_subiterations() const override { return LocallyIterable<P>; }
+  explicit GhpPath(SuperstepDriver<P>* driver)
+      : PushPath<P>(driver, {.needs_adjacency = true,
+                             .needs_veblocks = true,
+                             .mirrors_hot_vertices = true}) {}
 
+  EngineMode mode() const override { return EngineMode::kGraphHp; }
+
+ protected:
   Status ProduceVblock(NodeState& node, uint32_t vb,
                        const std::vector<uint8_t>& respond_in_vb,
                        const std::vector<uint8_t>& block_values) override {
@@ -51,68 +56,155 @@ class GhpPath : public PushPath<P> {
       // No sub-iterations ran: plain push, bit-for-bit.
       return PushPath<P>::ProduceVblock(node, vb, respond_in_vb, block_values);
     }
-
-    // PushPath's produce loop with one difference: intra-Vblock edges are
-    // skipped — the driver's sub-iterations already delivered (or carried)
-    // their messages. The whole adjacency block is still read and scanned;
-    // only the cross-Vblock share generates messages.
-    bool any = false;
-    for (uint8_t rf : respond_in_vb) {
-      if (rf) {
-        any = true;
-        break;
-      }
-    }
-    if (!any) return Status::OK();
-
-    const JobConfig& config = this->driver_->config();
+    // Intra-Vblock edges are skipped — the sub-iterations already delivered
+    // (or carried) their messages. The whole adjacency block is still read
+    // and scanned; only the cross-Vblock share generates messages.
     const RangePartition& partition = this->driver_->partition();
-    if (node.pipeline && node.pipeline->enabled() &&
-        vb + 1 < partition.LastVblockOf(node.id)) {
-      node.adj->PrefetchBlock(vb + 1, node.pipeline.get());
-    }
-    std::vector<AdjacencyStore::VertexAdj> adj;
-    HG_RETURN_IF_ERROR(node.adj->ReadBlock(vb, &adj, node.pipeline.get()));
-    node.io.adj_edge_bytes += node.adj->BlockBytes(vb);
-    node.cpu_seconds +=
-        config.cpu.per_edge_s * static_cast<double>(node.adj->BlockEdges(vb));
-    node.edges_scanned += node.adj->BlockEdges(vb);
+    return this->PushVblock(
+        node, vb, respond_in_vb, block_values,
+        [&](VertexId dst) { return partition.VblockOf(dst) != vb; });
+  }
 
+  /// GraphHP-style local sub-iterations over one Vblock (intra-block
+  /// asynchrony): after the global Phase B sweep updated the block, keep
+  /// propagating messages along intra-Vblock edges in memory — no barrier,
+  /// no wire — until quiescence or a total of config.ghp_max_local_iters
+  /// sweeps (the global Phase B counts as the first). Only sound when the
+  /// update is a monotone idempotent fold, so this chaotic relaxation
+  /// reaches the same least fixpoint as the synchronous schedule.
+  ///
+  /// Message routing per round: messages to *inner* destinations (every edge
+  /// inside the Vblock) are delivered and their updates run immediately —
+  /// that is the sub-iteration; messages to *boundary* destinations are
+  /// carried into inbox_next through the normal push-apply machinery
+  /// (consumed next superstep, spilling on overflow like any pushed batch,
+  /// but never metered as wire traffic). At the sweep cap every undelivered
+  /// message — inner destinations included — is carried, so nothing is lost.
+  ///
+  /// Afterwards the respond flags are rewritten: only respondents with
+  /// cross-Vblock out-edges still need the produce sweep (it ships exactly
+  /// those edges); everyone else's output was fully handled here.
+  /// Convergence stays exact — carried messages keep inflight > 0.
+  Status AfterVblockUpdate(NodeState& node, uint32_t vb,
+                           std::vector<uint8_t>& respond_in_vb,
+                           std::vector<uint8_t>& values,
+                           bool* block_dirty) override {
+    if constexpr (!LocallyIterable<P>) {
+      return Status::OK();
+    }
+    constexpr size_t kMsgRecordSize = SuperstepDriver<P>::kMsgRecordSize;
+    const JobConfig& config = this->driver_->config();
+    const int superstep = this->driver_->superstep();
+    const RangePartition& partition = this->driver_->partition();
     const VertexRange r = partition.VblockRange(vb);
-    std::vector<uint8_t> msg_bytes(P::kMessageSize);
-    for (const auto& va : adj) {
-      const uint32_t in_block = va.id - r.begin;
-      if (!respond_in_vb[in_block]) continue;
-      const Value value = PodCodec<Value>::Decode(
-          block_values.data() + static_cast<size_t>(in_block) * P::kValueSize);
-      const uint32_t out_degree = node.vstore->OutDegree(va.id);
-      for (const auto& e : va.out) {
-        if (partition.VblockOf(e.dst) == vb) continue;  // handled locally
-        const Message m = this->driver_->program().GenMessage(
-            va.id, value, out_degree, e, this->driver_->ctx());
-        ++node.msgs_produced;
-        node.cpu_seconds += config.cpu.per_message_s;
-        const NodeId dst_node = partition.NodeOf(e.dst);
-        PodCodec<Message>::Encode(m, msg_bytes.data());
-        if (this->MirrorFold(node, e.dst, msg_bytes.data())) continue;
-        if (config.push_sender_combining && P::kCombinable) {
-          const bool hit =
-              node.staging.TryCombine(dst_node, e.dst, msg_bytes.data());
-          node.cpu_seconds += config.cpu.per_combine_s;
-          if (hit) {
-            ++node.msgs_combined;
-            continue;
+    const uint32_t first_vb = partition.FirstVblockOf(node.id);
+
+    // Round 0 senders: the Phase B respondents, ascending id.
+    std::vector<VertexId> current;
+    for (uint32_t x = 0; x < r.size(); ++x) {
+      if (respond_in_vb[x]) current.push_back(r.begin + x);
+    }
+
+    if (!current.empty() && node.ve->InnerIndex(vb).num_edges > 0) {
+      // One metered sidecar scan serves every round of this superstep.
+      VeBlockStore::ScanResult scan;
+      HG_RETURN_IF_ERROR(node.ve->ScanInner(vb, &scan, node.pipeline.get()));
+      node.io.eblock_edge_bytes += scan.edge_bytes;
+      node.io.fragment_aux_bytes += scan.aux_bytes;
+      std::vector<int32_t> frag_of(r.size(), -1);
+      for (size_t f = 0; f < scan.fragments.size(); ++f) {
+        frag_of[scan.fragments[f].src - r.begin] = static_cast<int32_t>(f);
+      }
+
+      std::vector<std::pair<uint32_t, std::vector<uint8_t>>> carry;
+      auto carry_message = [&](VertexId dst, const Message& m) {
+        std::vector<uint8_t> bytes(P::kMessageSize);
+        PodCodec<Message>::Encode(m, bytes.data());
+        carry.emplace_back(dst, std::move(bytes));
+      };
+      uint64_t depth = 0;
+      while (!current.empty()) {
+        // Produce this round's intra-Vblock messages from the senders.
+        std::map<VertexId, std::vector<Message>> local;  // inner dsts, ordered
+        uint64_t produced = 0;
+        for (VertexId v : current) {
+          const int32_t f = frag_of[v - r.begin];
+          if (f < 0) continue;
+          const Value value = PodCodec<Value>::Decode(
+              values.data() + static_cast<size_t>(v - r.begin) * P::kValueSize);
+          const uint32_t out_degree = node.vstore->OutDegree(v);
+          const auto& frag = scan.fragments[static_cast<size_t>(f)];
+          node.cpu_seconds +=
+              config.cpu.per_edge_s * static_cast<double>(frag.edges.size());
+          node.edges_scanned += frag.edges.size();
+          for (const Edge& e : frag.edges) {
+            const Message m = this->driver_->program().GenMessage(
+                v, value, out_degree, e, this->driver_->ctx());
+            node.cpu_seconds += config.cpu.per_message_s;
+            ++produced;
+            if (node.ve->IsBoundary(e.dst)) {
+              carry_message(e.dst, m);
+            } else {
+              local[e.dst].push_back(m);
+            }
           }
         }
-        node.staging.Append(dst_node, e.dst, msg_bytes.data());
-        node.mem_highwater = std::max<uint64_t>(
-            node.mem_highwater,
-            node.staging.count(dst_node) * (4 + P::kMessageSize));
-        HG_RETURN_IF_ERROR(FlushStagedMessages(
-            node, this->driver_->transport(), dst_node, /*force=*/false,
-            config.sending_threshold_bytes, 4 + P::kMessageSize));
+        current.clear();
+        if (produced == 0) break;  // quiescent: no sender had intra out-edges
+        // Superstep 0 is announce-only (programs ignore messages in Update
+        // until superstep 1), so local delivery would drop them — carry
+        // everything, exactly like hitting the sweep cap.
+        if (superstep == 0 || depth + 1 >= config.ghp_max_local_iters) {
+          // Sweep cap reached. Carry every undelivered message — the inner
+          // destinations consume theirs from the inbox next superstep.
+          for (auto& [dst, msgs] : local) {
+            for (const Message& m : msgs) carry_message(dst, m);
+          }
+          break;
+        }
+        if (local.empty()) break;  // every message crossed to the carry
+        HG_FAIL_POINT("ghp.local");
+        TraceSpan span(this->driver_->trace(), "local.iter", superstep,
+                       static_cast<int>(node.id), EngineMode::kGraphHp);
+        ++depth;
+        ++node.local_iters;
+        // Deliver to the inner destinations in ascending id order and run
+        // their updates against the in-hand block values.
+        for (auto& [dst, msgs] : local) {
+          const UpdateResult res = this->ApplyUpdate(
+              node, dst,
+              values.data() + static_cast<size_t>(dst - r.begin) * P::kValueSize,
+              msgs, block_dirty);
+          node.local_msg_bytes += msgs.size() * kMsgRecordSize;
+          if (res.respond) current.push_back(dst);
+          node.active[node.LocalIdx(dst)] = 0;
+        }
+      }
+      if (!carry.empty()) {
+        Buffer payload;
+        FlatBatchCodec::Encode(carry, P::kMessageSize, &payload);
+        HG_RETURN_IF_ERROR(
+            ApplyPushBatch(node, payload.AsSlice(), this->apply_policy_));
+        node.local_msg_bytes += carry.size() * kMsgRecordSize;
+      }
+      node.local_depth = std::max(node.local_depth, depth);
+    }
+
+    // Respond-flag rewrite: keep only respondents whose cross-Vblock
+    // out-edges still need the produce sweep. Inner respondents (and
+    // cross-in-only boundary respondents) had every out-edge handled above.
+    bool any_respond = false;
+    for (uint32_t x = 0; x < r.size(); ++x) {
+      if (!respond_in_vb[x]) continue;
+      const VertexId v = r.begin + x;
+      if (node.ve->CrossOutDegree(v) == 0) {
+        respond_in_vb[x] = 0;
+        node.responding_next[node.LocalIdx(v)] = 0;
+      } else {
+        any_respond = true;
       }
     }
+    node.vblock_res_next[vb - first_vb] = any_respond ? 1 : 0;
     return Status::OK();
   }
 };

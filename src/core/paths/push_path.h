@@ -5,32 +5,25 @@
 // (pushM+com, Appendix E) and threshold flushes.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "core/paths/block_path_base.h"
-#include "graph/adjacency_store.h"
 
 namespace hybridgraph {
 
 template <typename P>
 class PushPath : public BlockPathBase<P> {
  public:
-  using Value = typename P::Value;
-  using Message = typename P::Message;
-
-  explicit PushPath(SuperstepDriver<P>* driver) : BlockPathBase<P>(driver) {}
+  /// Push production walks adjacency blocks and folds sends to hot vertices
+  /// into mirror slots. GraphHP passes its own caps (it also needs the
+  /// VE-BLOCK boundary/inner split).
+  explicit PushPath(SuperstepDriver<P>* driver,
+                    PathCaps caps = {.needs_adjacency = true,
+                                     .mirrors_hot_vertices = true})
+      : BlockPathBase<P>(driver, caps) {}
 
   EngineMode mode() const override { return EngineMode::kPush; }
-  bool needs_adjacency() const override { return true; }
-  bool mirrors_hot_vertices() const override { return true; }
-
-  Status Build(const EdgeListGraph& graph) override {
-    HG_RETURN_IF_ERROR(this->driver_->EnsureBlockTopology(graph));
-    this->InitPolicies();
-    return Status::OK();
-  }
 
   Status Consume(uint32_t i) override {
     NodeState& node = this->driver_->nodes()[i];
@@ -50,76 +43,12 @@ class PushPath : public BlockPathBase<P> {
     return Status::OK();
   }
 
+ protected:
   Status ProduceVblock(NodeState& node, uint32_t vb,
                        const std::vector<uint8_t>& respond_in_vb,
                        const std::vector<uint8_t>& block_values) override {
-    // pushRes(): read the adjacency block once and broadcast along
-    // out-edges. Vertex values are still in hand from the update pass
-    // (compute() in Giraph is one pass), so no extra value I/O is charged.
-    bool any = false;
-    for (uint8_t rf : respond_in_vb) {
-      if (rf) {
-        any = true;
-        break;
-      }
-    }
-    if (!any) return Status::OK();
-
-    const JobConfig& config = this->driver_->config();
-    const RangePartition& partition = this->driver_->partition();
-    // Stage the next Vblock's adjacency before consuming this one
-    // (responding blocks cluster, so the speculative read usually lands);
-    // a wrong guess is just dropped from the pipeline later.
-    if (node.pipeline && node.pipeline->enabled() &&
-        vb + 1 < partition.LastVblockOf(node.id)) {
-      node.adj->PrefetchBlock(vb + 1, node.pipeline.get());
-    }
-    std::vector<AdjacencyStore::VertexAdj> adj;
-    HG_RETURN_IF_ERROR(node.adj->ReadBlock(vb, &adj, node.pipeline.get()));
-    node.io.adj_edge_bytes += node.adj->BlockBytes(vb);
-    node.cpu_seconds +=
-        config.cpu.per_edge_s * static_cast<double>(node.adj->BlockEdges(vb));
-    node.edges_scanned += node.adj->BlockEdges(vb);
-
-    const VertexRange r = partition.VblockRange(vb);
-    std::vector<uint8_t> msg_bytes(P::kMessageSize);
-    for (const auto& va : adj) {
-      const uint32_t in_block = va.id - r.begin;
-      if (!respond_in_vb[in_block]) continue;
-      const Value value = PodCodec<Value>::Decode(
-          block_values.data() + static_cast<size_t>(in_block) * P::kValueSize);
-      const uint32_t out_degree = node.vstore->OutDegree(va.id);
-      for (const auto& e : va.out) {
-        const Message m = this->driver_->program().GenMessage(
-            va.id, value, out_degree, e, this->driver_->ctx());
-        ++node.msgs_produced;
-        node.cpu_seconds += config.cpu.per_message_s;
-        const NodeId dst_node = partition.NodeOf(e.dst);
-        PodCodec<Message>::Encode(m, msg_bytes.data());
-        // Degree-aware mirroring: sends to a hot vertex fold into the local
-        // accumulator and ship once per (node, vertex) at FinishProduce.
-        if (this->MirrorFold(node, e.dst, msg_bytes.data())) continue;
-        if (config.push_sender_combining && P::kCombinable) {
-          // pushM+com (Appendix E): combine with a message for the same
-          // destination still sitting in this staging buffer.
-          const bool hit =
-              node.staging.TryCombine(dst_node, e.dst, msg_bytes.data());
-          node.cpu_seconds += config.cpu.per_combine_s;
-          if (hit) {
-            ++node.msgs_combined;
-            continue;
-          }
-        }
-        node.staging.Append(dst_node, e.dst, msg_bytes.data());
-        node.mem_highwater = std::max<uint64_t>(
-            node.mem_highwater,
-            node.staging.count(dst_node) * (4 + P::kMessageSize));
-        HG_RETURN_IF_ERROR(FlushStagedMessages(
-            node, this->driver_->transport(), dst_node, /*force=*/false,
-            config.sending_threshold_bytes, 4 + P::kMessageSize));
-      }
-    }
-    return Status::OK();
+    return this->PushVblock(node, vb, respond_in_vb, block_values,
+                            [](VertexId) { return true; });
   }
 
   Status FinishProduce(NodeState& node) override {
@@ -133,7 +62,6 @@ class PushPath : public BlockPathBase<P> {
     return Status::OK();
   }
 
- protected:
   uint64_t ExtraMemoryBytes(const NodeState& node) const override {
     uint64_t buffers = node.inbox_next.count() * (4 + P::kMessageSize);
     if (node.moc_slots > 0) {

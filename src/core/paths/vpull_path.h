@@ -47,11 +47,13 @@ class VPullPath : public MessagePath<P> {
   using Value = typename P::Value;
   using Message = typename P::Message;
 
-  explicit VPullPath(SuperstepDriver<P>* driver) : driver_(driver) {}
+  /// Owns its storage and vertex-cut layout (no block topology); predates
+  /// aggregator support and never switches modes.
+  explicit VPullPath(SuperstepDriver<P>* driver)
+      : MessagePath<P>({.supports_aggregator = false, .hybrid_metrics = false}),
+        driver_(driver) {}
 
   EngineMode mode() const override { return EngineMode::kVPull; }
-  bool supports_aggregator() const override { return false; }
-  bool hybrid_metrics() const override { return false; }
 
   Status Build(const EdgeListGraph& graph) override {
     const JobConfig& config = driver_->config();
@@ -72,19 +74,7 @@ class VPullPath : public MessagePath<P> {
       HG_ASSIGN_OR_RETURN(
           node.storage,
           MakeNodeStorage(config, "gas" + std::to_string(i)));
-      if (driver_->io_pool() != nullptr) {
-        node.pipeline = std::make_unique<ReadPipeline>(
-            node.storage.get(), driver_->io_pool(), config.io.prefetch_depth,
-            config.io.prefetch_budget_bytes);
-        node.pipeline->SetSpanSink(
-            [this, node_id = static_cast<int>(i)](
-                const char* name, int superstep, int mode, uint64_t start_us,
-                uint64_t end_us) {
-              driver_->trace()->AddSteadySpan(name, superstep, node_id,
-                                              start_us, end_us,
-                                              static_cast<EngineMode>(mode));
-            });
-      }
+      node.pipeline = driver_->MakeReadPipeline(node.storage.get(), i);
 
       auto intern = [&](VertexId v) -> uint32_t {
         auto it = node.replica_idx.find(v);
@@ -316,7 +306,7 @@ class VPullPath : public MessagePath<P> {
     *inflight_messages = 0;
   }
 
-  Result<std::vector<Value>> GatherValues() {
+  Result<std::vector<Value>> GatherValues() override {
     std::vector<Value> out(driver_->ctx().num_vertices);
     for (auto& node : nodes_) {
       for (VertexId v : node.owned) {

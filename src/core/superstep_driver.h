@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -30,7 +29,6 @@
 #include "core/engine_setup.h"
 #include "core/hybrid_switch.h"
 #include "core/job_config.h"
-#include "core/message_flow.h"
 #include "core/message_path.h"
 #include "core/mirror_table.h"
 #include "core/node_state.h"
@@ -63,12 +61,8 @@ class SuperstepDriver {
   /// Vertex value record on disk (id + out-degree + payload).
   static constexpr size_t kValueRecordSize = 8 + P::kValueSize;
 
-  /// `gas_engine` selects the vpull (vertex-cut GAS) front-end: the driver
-  /// then skips the block-engine initial-mode decision and hybrid metrics.
-  SuperstepDriver(JobConfig config, P program, bool gas_engine)
-      : config_(std::move(config)),
-        program_(std::move(program)),
-        gas_engine_(gas_engine) {}
+  SuperstepDriver(JobConfig config, P program)
+      : config_(std::move(config)), program_(std::move(program)) {}
 
   /// Registers `path` under its mode. `active` paths are Build()t at Load
   /// time and may produce; inactive ones only occupy their registry slot
@@ -83,7 +77,6 @@ class SuperstepDriver {
     JobConfig::JobFacts job_facts;
     job_facts.num_vertices = graph.num_vertices;
     job_facts.combinable_messages = P::kCombinable;
-    job_facts.vpull_engine = gas_engine_;
     HG_RETURN_IF_ERROR(config_.Validate(job_facts));
     if (!config_.failpoints.empty()) {
       HG_RETURN_IF_ERROR(
@@ -103,18 +96,7 @@ class SuperstepDriver {
       HG_RETURN_IF_ERROR(path->Build(graph));
     }
 
-    if (gas_engine_) {
-      mode_ = EngineMode::kVPull;
-    } else {
-      // Initial mode (Algorithm 3 line 2, Theorem 2).
-      InitialModeInputs in;
-      in.b_lower_bound = stats_.load.b_lower_bound;
-      in.initial_messages = initial_messages_;
-      in.initial_active_frac = initial_active_frac_;
-      in.total_fragments = total_fragments_;
-      HG_ASSIGN_OR_RETURN(mode_, DecideInitialMode(config_, nodes_, facts_, in));
-    }
-    prev_produce_ = mode_;
+    HG_RETURN_IF_ERROR(ChooseInitialMode());
     loaded_ = true;
     return Status::OK();
   }
@@ -190,7 +172,7 @@ class SuperstepDriver {
     // the next superstep's Update calls.
     double aggregate = 0;
     if constexpr (HasAggregator<P>) {
-      if (prod->supports_aggregator()) {
+      if (prod->caps().supports_aggregator) {
         Buffer payload;
         Encoder enc(&payload);
         for (auto& node : nodes_) {
@@ -216,7 +198,7 @@ class SuperstepDriver {
     // Metrics and the switching decision read next-superstep flags, so they
     // run before the barrier swap.
     SuperstepMetrics m = prod->EndAccounting(produce_mode, switched);
-    if (prod->hybrid_metrics()) {
+    if (prod->caps().hybrid_metrics) {
       EvaluateSwitch(&m, config_, partition_, nodes_, facts_, superstep_,
                      &hybrid_, &mode_);
     }
@@ -240,7 +222,7 @@ class SuperstepDriver {
       converged_ = true;
     }
     if constexpr (HasAggregateHalt<P>) {
-      if (prod->supports_aggregator() && superstep_ > 1 &&
+      if (prod->caps().supports_aggregator && superstep_ > 1 &&
           program_.ShouldHalt(aggregate)) {
         converged_ = true;
       }
@@ -276,9 +258,9 @@ class SuperstepDriver {
     bool need_ve = false;
     bool any_mirrors = false;
     for (MessagePath<P>* path : build_order_) {
-      need_adj = need_adj || path->needs_adjacency();
-      need_ve = need_ve || path->needs_veblocks();
-      any_mirrors = any_mirrors || path->mirrors_hot_vertices();
+      need_adj = need_adj || path->caps().needs_adjacency;
+      need_ve = need_ve || path->caps().needs_veblocks;
+      any_mirrors = any_mirrors || path->caps().mirrors_hot_vertices;
     }
 
     BlockTopologyHooks hooks;
@@ -320,22 +302,8 @@ class SuperstepDriver {
     initial_active_frac_ = static_cast<double>(census.initial_active_count) /
                            static_cast<double>(graph.num_vertices);
 
-    // Per-node readahead pipelines over the node's storage. Background reads
-    // are unmetered; metering happens at the consumption point, so modeled
-    // I/O stays bit-identical with prefetch on or off.
-    if (io_pool_ != nullptr) {
-      for (auto& node : nodes_) {
-        node.pipeline = std::make_unique<ReadPipeline>(
-            node.storage.get(), io_pool_.get(), config_.io.prefetch_depth,
-            config_.io.prefetch_budget_bytes);
-        node.pipeline->SetSpanSink(
-            [this, node_id = static_cast<int>(node.id)](
-                const char* name, int superstep, int mode, uint64_t start_us,
-                uint64_t end_us) {
-              trace_.AddSteadySpan(name, superstep, node_id, start_us, end_us,
-                                   static_cast<EngineMode>(mode));
-            });
-      }
+    for (auto& node : nodes_) {
+      node.pipeline = MakeReadPipeline(node.storage.get(), node.id);
     }
 
     // RPC wiring. Handlers run in the SENDER's thread (or a transport server
@@ -358,7 +326,7 @@ class SuperstepDriver {
             // serves pulls (adaptive), else by the b-pull slot (the only
             // other server; push producers never trigger pulls).
             MessagePath<P>* p = registry_[static_cast<size_t>(prev_produce_)];
-            if (p == nullptr || !p->serves_pulls()) {
+            if (p == nullptr || !p->caps().serves_pulls) {
               p = registry_[static_cast<size_t>(EngineMode::kBPull)];
             }
             if (p == nullptr) return Status::Internal("no pull path installed");
@@ -381,317 +349,31 @@ class SuperstepDriver {
     return Status::OK();
   }
 
-  /// The shared Phase B vertex-update sweep over one node's Vblocks
-  /// (update() + setResFlag); production is delegated to the path's
-  /// ProduceVblock/FinishProduce hooks so this loop stays mode-free.
-  Status UpdateVblocks(NodeState& node, MessagePath<P>& prod) {
-    std::fill(node.responding_next.begin(), node.responding_next.end(), 0);
-    std::fill(node.vblock_res_next.begin(), node.vblock_res_next.end(), 0);
-
-    const uint32_t first_vb = partition_.FirstVblockOf(node.id);
-    const uint32_t last_vb = partition_.LastVblockOf(node.id);
-    const std::vector<Message> no_msgs;
-    std::vector<Message> msg_scratch;
-    std::vector<uint8_t> values;
-    std::vector<uint8_t> respond_in_vb;
-
-    // Precompute which Vblocks will be read this sweep, so the pipeline can
-    // stay one block ahead of the scan. Safe to hoist: the flags any_active
-    // reads (pending, active) are only mutated for vertices inside the same
-    // Vblock, after that block's own flag was computed.
-    std::vector<uint8_t> vb_active(last_vb - first_vb, 0);
-    for (uint32_t vb = first_vb; vb < last_vb; ++vb) {
-      const VertexRange r = partition_.VblockRange(vb);
-      for (VertexId v = r.begin; v < r.end; ++v) {
-        const uint32_t li = node.LocalIdx(v);
-        const bool a = P::kAlwaysActive
-                           ? (superstep_ > 0 || node.active[li])
-                           : (node.pending.Has(li) || node.active[li]);
-        if (a) {
-          vb_active[vb - first_vb] = 1;
-          break;
-        }
-      }
-    }
-    auto prefetch_next_vblock = [&](uint32_t after_vb) {
-      if (!node.pipeline || !node.pipeline->enabled()) return;
-      for (uint32_t nvb = after_vb + 1; nvb < last_vb; ++nvb) {
-        if (vb_active[nvb - first_vb]) {
-          node.vstore->PrefetchBlock(nvb, node.pipeline.get(),
-                                     IoClass::kSeqRead);
-          return;
-        }
-      }
-    };
-
-    for (uint32_t vb = first_vb; vb < last_vb; ++vb) {
-      const VertexRange r = partition_.VblockRange(vb);
-      const bool any_active = vb_active[vb - first_vb] != 0;
-      respond_in_vb.assign(r.size(), 0);
-      if (any_active) {
-        // Stage the following active Vblock before consuming this one, so
-        // its read overlaps this block's update work.
-        prefetch_next_vblock(vb);
-        // IO(V^t): scan + write back the Vblock.
-        HG_RETURN_IF_ERROR(node.vstore->ReadBlock(
-            vb, &values, IoClass::kSeqRead, node.pipeline.get()));
-        node.io.vt_bytes += node.vstore->BlockBytes(vb);
-        bool block_dirty = false;
-
-        for (VertexId v = r.begin; v < r.end; ++v) {
-          const uint32_t li = node.LocalIdx(v);
-          const bool has_msgs = node.pending.Has(li);
-          const bool run_update =
-              P::kAlwaysActive ? (superstep_ > 0 || node.active[li])
-                               : (has_msgs || node.active[li]);
-          if (!run_update) continue;
-
-          Value value = PodCodec<Value>::Decode(
-              values.data() + static_cast<size_t>(v - r.begin) * P::kValueSize);
-          [[maybe_unused]] const Value old_value = value;
-          if (has_msgs) {
-            msg_scratch.clear();
-            const size_t count = node.pending.CountAt(li);
-            const uint8_t* data = node.pending.DataAt(li);
-            for (size_t k = 0; k < count; ++k) {
-              msg_scratch.push_back(
-                  PodCodec<Message>::Decode(data + k * kMsgSize));
-            }
-          }
-          const std::vector<Message>& msgs = has_msgs ? msg_scratch : no_msgs;
-          const UpdateResult res = program_.Update(v, &value, msgs, ctx_);
-          ++node.updated_vertices;
-          if constexpr (HasAggregator<P>) {
-            node.aggregate_partial +=
-                program_.AggregateContribution(v, old_value, value, ctx_);
-          }
-          node.cpu_seconds +=
-              config_.cpu.per_vertex_update_s +
-              config_.cpu.per_message_s * static_cast<double>(msgs.size());
-          if (res.changed) {
-            PodCodec<Value>::Encode(
-                value, values.data() +
-                           static_cast<size_t>(v - r.begin) * P::kValueSize);
-            block_dirty = true;
-          }
-          if (res.respond) {
-            node.responding_next[li] = 1;
-            node.vblock_res_next[vb - first_vb] = 1;
-            respond_in_vb[v - r.begin] = 1;
-          }
-          // Consume messages.
-          if (has_msgs) node.pending.ConsumeAt(li);
-          node.active[li] = 0;
-        }
-        // GraphHP-style intra-block asynchrony: with the block's values still
-        // in hand, keep iterating the Vblock's inner vertices to local
-        // convergence before the write-back and the global produce sweep.
-        if (prod.local_subiterations()) {
-          HG_RETURN_IF_ERROR(RunLocalSubIterations(node, vb, respond_in_vb,
-                                                   values, &block_dirty));
-        }
-        if (block_dirty) {
-          HG_RETURN_IF_ERROR(
-              node.vstore->WriteBlock(vb, values, IoClass::kSeqWrite));
-          node.io.vt_bytes += node.vstore->BlockBytes(vb);
-        }
-      }
-      HG_RETURN_IF_ERROR(prod.ProduceVblock(node, vb, respond_in_vb, values));
-    }
-    return prod.FinishProduce(node);
-  }
-
-  /// GraphHP-style local sub-iterations over one Vblock (intra-block
-  /// asynchrony, arXiv:1706.07221): after the global Phase B sweep updated
-  /// the block, keep propagating messages along intra-Vblock edges in memory
-  /// — no barrier, no wire — until quiescence or a total of
-  /// config.ghp_max_local_iters sweeps (the global Phase B counts as the
-  /// first). Only reached when the producing path opts in
-  /// (local_subiterations()), which paths gate on the program's
-  /// locally-iterable trait: the update must be a monotone idempotent fold,
-  /// so this chaotic relaxation reaches the same least fixpoint as the
-  /// synchronous schedule.
-  ///
-  /// Message routing per round: messages to *inner* destinations (every edge
-  /// inside the Vblock) are delivered and their updates run immediately —
-  /// that is the sub-iteration; messages to *boundary* destinations are
-  /// carried into inbox_next through the normal push-apply machinery
-  /// (consumed next superstep, spilling on overflow like any pushed batch,
-  /// but never metered as wire traffic). At the sweep cap every undelivered
-  /// message — inner destinations included — is carried, so nothing is lost.
-  ///
-  /// Afterwards the respond flags are rewritten: only respondents with
-  /// cross-Vblock out-edges still need the path's produce sweep (it ships
-  /// exactly those edges); everyone else's output was fully handled here.
-  /// Convergence stays exact — carried messages keep inflight > 0.
-  Status RunLocalSubIterations(NodeState& node, uint32_t vb,
-                               std::vector<uint8_t>& respond_in_vb,
-                               std::vector<uint8_t>& values,
-                               bool* block_dirty) {
-    const VertexRange r = partition_.VblockRange(vb);
-    const uint32_t first_vb = partition_.FirstVblockOf(node.id);
-
-    // Round 0 senders: the Phase B respondents, ascending id.
-    std::vector<VertexId> current;
-    for (uint32_t x = 0; x < r.size(); ++x) {
-      if (respond_in_vb[x]) current.push_back(r.begin + x);
-    }
-
-    if (!current.empty() && node.ve->InnerIndex(vb).num_edges > 0) {
-      // One metered sidecar scan serves every round of this superstep.
-      VeBlockStore::ScanResult scan;
-      HG_RETURN_IF_ERROR(node.ve->ScanInner(vb, &scan, node.pipeline.get()));
-      node.io.eblock_edge_bytes += scan.edge_bytes;
-      node.io.fragment_aux_bytes += scan.aux_bytes;
-      std::vector<int32_t> frag_of(r.size(), -1);
-      for (size_t f = 0; f < scan.fragments.size(); ++f) {
-        frag_of[scan.fragments[f].src - r.begin] = static_cast<int32_t>(f);
-      }
-
-      std::vector<std::pair<uint32_t, std::vector<uint8_t>>> carry;
-      uint64_t depth = 0;
-      while (!current.empty()) {
-        // Produce this round's intra-Vblock messages from the senders.
-        std::map<VertexId, std::vector<Message>> local;  // inner dsts, ordered
-        uint64_t produced = 0;
-        for (VertexId v : current) {
-          const int32_t f = frag_of[v - r.begin];
-          if (f < 0) continue;
-          const typename P::Value value = PodCodec<Value>::Decode(
-              values.data() + static_cast<size_t>(v - r.begin) * P::kValueSize);
-          const uint32_t out_degree = node.vstore->OutDegree(v);
-          const auto& frag = scan.fragments[static_cast<size_t>(f)];
-          node.cpu_seconds +=
-              config_.cpu.per_edge_s * static_cast<double>(frag.edges.size());
-          node.edges_scanned += frag.edges.size();
-          for (const Edge& e : frag.edges) {
-            const Message m =
-                program_.GenMessage(v, value, out_degree, e, ctx_);
-            node.cpu_seconds += config_.cpu.per_message_s;
-            ++produced;
-            if (node.ve->IsBoundary(e.dst)) {
-              std::vector<uint8_t> bytes(kMsgSize);
-              PodCodec<Message>::Encode(m, bytes.data());
-              carry.emplace_back(e.dst, std::move(bytes));
-            } else {
-              local[e.dst].push_back(m);
-            }
-          }
-        }
-        current.clear();
-        if (produced == 0) break;  // quiescent: no sender had intra out-edges
-        // Superstep 0 is announce-only (programs ignore messages in Update
-        // until superstep 1), so local delivery would drop them — carry
-        // everything, exactly like hitting the sweep cap.
-        if (superstep_ == 0 || depth + 1 >= config_.ghp_max_local_iters) {
-          // Sweep cap reached. Carry every undelivered message — the inner
-          // destinations consume theirs from the inbox next superstep.
-          for (auto& [dst, msgs] : local) {
-            for (const Message& m : msgs) {
-              std::vector<uint8_t> bytes(kMsgSize);
-              PodCodec<Message>::Encode(m, bytes.data());
-              carry.emplace_back(dst, std::move(bytes));
-            }
-          }
-          break;
-        }
-        if (local.empty()) break;  // every message crossed to the carry
-        HG_FAIL_POINT("ghp.local");
-        TraceSpan span(&trace_, "local.iter", superstep_,
-                       static_cast<int>(node.id), EngineMode::kGraphHp);
-        ++depth;
-        ++node.local_iters;
-        // Deliver to the inner destinations in ascending id order and run
-        // their updates against the in-hand block values.
-        for (auto& [dst, msgs] : local) {
-          const uint32_t li = node.LocalIdx(dst);
-          Value value = PodCodec<Value>::Decode(
-              values.data() +
-              static_cast<size_t>(dst - r.begin) * P::kValueSize);
-          [[maybe_unused]] const Value old_value = value;
-          const UpdateResult res = program_.Update(dst, &value, msgs, ctx_);
-          ++node.updated_vertices;
-          if constexpr (HasAggregator<P>) {
-            node.aggregate_partial +=
-                program_.AggregateContribution(dst, old_value, value, ctx_);
-          }
-          node.cpu_seconds +=
-              config_.cpu.per_vertex_update_s +
-              config_.cpu.per_message_s * static_cast<double>(msgs.size());
-          node.local_msg_bytes += msgs.size() * kMsgRecordSize;
-          if (res.changed) {
-            PodCodec<Value>::Encode(
-                value, values.data() +
-                           static_cast<size_t>(dst - r.begin) * P::kValueSize);
-            *block_dirty = true;
-          }
-          if (res.respond) current.push_back(dst);
-          node.active[li] = 0;
-        }
-      }
-      if (!carry.empty()) {
-        Buffer payload;
-        FlatBatchCodec::Encode(carry, kMsgSize, &payload);
-        PushApplyPolicy policy;
-        policy.msg_size = kMsgSize;
-        policy.buffer_cap = config_.msg_buffer_per_node;
-        policy.unlimited = config_.msg_buffer_per_node == UINT64_MAX ||
-                           config_.memory_resident;
-        policy.online_compute = false;
-        policy.combinable = P::kCombinable;
-        policy.combiner = P::kCombinable ? &ProgramOps<P>::CombineRaw : nullptr;
-        HG_RETURN_IF_ERROR(ApplyPushBatch(node, payload.AsSlice(), policy));
-        node.local_msg_bytes += carry.size() * kMsgRecordSize;
-      }
-      node.local_depth = std::max(node.local_depth, depth);
-    }
-
-    // Respond-flag rewrite: keep only respondents whose cross-Vblock
-    // out-edges still need the global produce sweep. Inner respondents (and
-    // cross-in-only boundary respondents) had every out-edge handled above.
-    bool any_respond = false;
-    for (uint32_t x = 0; x < r.size(); ++x) {
-      if (!respond_in_vb[x]) continue;
-      const VertexId v = r.begin + x;
-      if (node.ve->CrossOutDegree(v) == 0) {
-        respond_in_vb[x] = 0;
-        node.responding_next[node.LocalIdx(v)] = 0;
-      } else {
-        any_respond = true;
-      }
-    }
-    node.vblock_res_next[vb - first_vb] = any_respond ? 1 : 0;
-    return Status::OK();
-  }
-
-  /// Collects all vertex values from the block stores (global, indexed by
-  /// vertex id). The vpull front-end gathers from its own path instead.
+  /// Collects all vertex values (global, indexed by vertex id) from the
+  /// first active path; every active path of a mode reads the same stores.
   Result<std::vector<Value>> GatherValues() {
-    std::vector<Value> out(partition_.num_vertices());
-    std::vector<uint8_t> values;
-    for (auto& node : nodes_) {
-      for (uint32_t vb = partition_.FirstVblockOf(node.id);
-           vb < partition_.LastVblockOf(node.id); ++vb) {
-        HG_RETURN_IF_ERROR(
-            node.vstore->ReadBlock(vb, &values, IoClass::kSeqRead));
-        const VertexRange r = partition_.VblockRange(vb);
-        for (uint32_t i = 0; i < r.size(); ++i) {
-          out[r.begin + i] = PodCodec<Value>::Decode(
-              values.data() + static_cast<size_t>(i) * P::kValueSize);
-        }
-      }
+    if (build_order_.empty()) {
+      return Status::FailedPrecondition("no active path installed");
     }
-    return out;
+    return build_order_.front()->GatherValues();
   }
 
   Status WriteCheckpoint(Buffer* out) {
     if (!loaded_) return Status::FailedPrecondition("Load() first");
+    if (!topology_built_) {
+      return Status::FailedPrecondition(
+          "checkpoints require a block-centric topology");
+    }
     return WriteEngineCheckpoint(nodes_, partition_, MakeCheckpointState(),
                                  kMsgSize, out);
   }
 
   Status RestoreCheckpoint(Slice data) {
     if (!loaded_) return Status::FailedPrecondition("Load() first");
+    if (!topology_built_) {
+      return Status::FailedPrecondition(
+          "checkpoints require a block-centric topology");
+    }
     // In-flight readahead was issued against pre-restore state; cancel it
     // all before the restore rewrites blocks, so nothing stale survives.
     // (Writes during the restore also invalidate matching staged reads via
@@ -931,19 +613,7 @@ class SuperstepDriver {
       std::fill(node.pull_advert_valid.begin(), node.pull_advert_valid.end(),
                 0);
     }
-    if (gas_engine_) {
-      mode_ = EngineMode::kVPull;
-    } else {
-      InitialModeInputs in;
-      in.b_lower_bound = stats_.load.b_lower_bound;
-      in.initial_messages = initial_messages_;
-      in.initial_active_frac = initial_active_frac_;
-      in.total_fragments = total_fragments_;
-      HG_ASSIGN_OR_RETURN(mode_,
-                          DecideInitialMode(config_, nodes_, facts_, in));
-    }
-    prev_produce_ = mode_;
-    return Status::OK();
+    return ChooseInitialMode();
   }
 
   // ---------------------------------------------------------------- access
@@ -967,9 +637,24 @@ class SuperstepDriver {
 
   Transport& transport() { return *transport_; }
   void set_transport(std::unique_ptr<Transport> t) { transport_ = std::move(t); }
-  /// Shared background-read pool; null when prefetch is disabled. Paths that
-  /// own their storage (vpull) build their ReadPipelines on it.
-  ThreadPool* io_pool() { return io_pool_.get(); }
+  /// A readahead pipeline over `storage` on the shared background-read
+  /// pool, tracing its spans under `node`; null when prefetch is off.
+  /// Background reads are unmetered; metering happens at the consumption
+  /// point, so modeled I/O stays bit-identical with prefetch on or off.
+  std::unique_ptr<ReadPipeline> MakeReadPipeline(StorageService* storage,
+                                                 NodeId node) {
+    if (io_pool_ == nullptr) return nullptr;
+    auto pipeline = std::make_unique<ReadPipeline>(
+        storage, io_pool_.get(), config_.io.prefetch_depth,
+        config_.io.prefetch_budget_bytes);
+    pipeline->SetSpanSink([this, node_id = static_cast<int>(node)](
+                              const char* name, int superstep, int mode,
+                              uint64_t start_us, uint64_t end_us) {
+      trace_.AddSteadySpan(name, superstep, node_id, start_us, end_us,
+                           static_cast<EngineMode>(mode));
+    });
+    return pipeline;
+  }
   std::vector<NodeState>& nodes() { return nodes_; }
   SuperstepContext& ctx() { return ctx_; }
   double pull_gen_aggregate() const { return pull_gen_aggregate_; }
@@ -979,6 +664,19 @@ class SuperstepDriver {
   TraceCollector* trace() { return &trace_; }
 
  private:
+  /// Initial mode (Algorithm 3 line 2, Theorem 2) from the current census;
+  /// the first superstep consumes in the mode it produces.
+  Status ChooseInitialMode() {
+    InitialModeInputs in;
+    in.b_lower_bound = stats_.load.b_lower_bound;
+    in.initial_messages = initial_messages_;
+    in.initial_active_frac = initial_active_frac_;
+    in.total_fragments = total_fragments_;
+    HG_ASSIGN_OR_RETURN(mode_, DecideInitialMode(config_, nodes_, facts_, in));
+    prev_produce_ = mode_;
+    return Status::OK();
+  }
+
   CheckpointState MakeCheckpointState() {
     CheckpointState st;
     st.superstep = &superstep_;
@@ -992,7 +690,6 @@ class SuperstepDriver {
 
   JobConfig config_;
   P program_;
-  const bool gas_engine_;
   RangePartition partition_;
   std::unique_ptr<Transport> transport_;
   std::unique_ptr<ThreadPool> pool_;

@@ -12,7 +12,6 @@
 #include "algos/sssp.h"
 #include "algos/wcc.h"
 #include "core/engine.h"
-#include "core/vpull_engine.h"
 #include "net/message_codec.h"
 
 namespace hybridgraph {
@@ -41,36 +40,24 @@ class TypedEngine final : public AnyEngine {
 
   Status Load(const EdgeListGraph& graph) override {
     prepare_(program_, graph);
-    if (config_.mode == EngineMode::kVPull) {
-      vpull_ = std::make_unique<VPullEngine<P>>(config_, program_);
-      return vpull_->Load(graph);
-    }
     engine_ = std::make_unique<Engine<P>>(config_, program_);
     return engine_->Load(graph);
   }
 
   Status Run() override {
-    if (vpull_) return vpull_->Run();
-    if (engine_) return engine_->Run();
-    return Status::FailedPrecondition("Load() first");
+    if (!engine_) return Status::FailedPrecondition("Load() first");
+    return engine_->Run();
   }
 
   Status RunSuperstep() override {
-    if (vpull_) return vpull_->RunSuperstep();
-    if (engine_) return engine_->RunSuperstep();
-    return Status::FailedPrecondition("Load() first");
+    if (!engine_) return Status::FailedPrecondition("Load() first");
+    return engine_->RunSuperstep();
   }
 
-  bool converged() const override {
-    if (vpull_) return vpull_->converged();
-    if (engine_) return engine_->converged();
-    return false;
-  }
+  bool converged() const override { return engine_ && engine_->converged(); }
 
   const JobStats& stats() const override {
-    if (vpull_) return vpull_->stats();
-    if (engine_) return engine_->stats();
-    return empty_stats_;
+    return engine_ ? engine_->stats() : empty_stats_;
   }
 
   size_t value_size() const override { return P::kValueSize; }
@@ -94,9 +81,8 @@ class TypedEngine final : public AnyEngine {
 
  private:
   Result<std::vector<Value>> Gather() {
-    if (vpull_) return vpull_->GatherValues();
-    if (engine_) return engine_->GatherValues();
-    return Status::FailedPrecondition("Load() first");
+    if (!engine_) return Status::FailedPrecondition("Load() first");
+    return engine_->GatherValues();
   }
 
   JobConfig config_;
@@ -104,7 +90,6 @@ class TypedEngine final : public AnyEngine {
   Prepare prepare_;
   ToDouble to_double_;
   std::unique_ptr<Engine<P>> engine_;
-  std::unique_ptr<VPullEngine<P>> vpull_;
   JobStats empty_stats_;
 };
 

@@ -1,7 +1,6 @@
-// Type-erased engine runner: one object that fronts both Engine<P> (push /
-// pushM / b-pull / hybrid) and VPullEngine<P> (the GAS baseline) for every
-// built-in algorithm, so drivers, benches and examples no longer branch on
-// (algorithm x engine) template combinations themselves.
+// Type-erased engine runner: one object that fronts Engine<P> (every
+// EngineMode) for every built-in algorithm, so drivers, benches and examples
+// no longer branch on (algorithm x mode) template combinations themselves.
 //
 //   JobConfig cfg;
 //   cfg.mode = EngineMode::kHybrid;
@@ -59,8 +58,7 @@ struct AlgoSpec {
 };
 
 /// Runtime interface over a loaded engine of any mode and algorithm. The
-/// concrete object owns an Engine<P> or a VPullEngine<P>, chosen by
-/// config.mode at MakeEngine() time.
+/// concrete object owns the Engine<P> for the algorithm's program.
 class AnyEngine {
  public:
   virtual ~AnyEngine() = default;

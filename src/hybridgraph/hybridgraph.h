@@ -1,7 +1,7 @@
 // Umbrella public header for the HybridGraph library.
 //
 // Quick start (the type-erased runner covers every built-in algorithm and
-// all five engine modes, including the v-pull baseline):
+// every engine mode, including the v-pull baseline):
 //
 //   #include "hybridgraph/hybridgraph.h"
 //   using namespace hybridgraph;
@@ -18,8 +18,8 @@
 //   auto ranks = engine->GatherValuesAsDouble();  // Result<std::vector<double>>
 //   const JobStats& stats = engine->stats();
 //
-// Custom vertex programs keep using Engine<P> / VPullEngine<P> directly
-// (see examples/custom_algorithm.cpp).
+// Custom vertex programs use Engine<P> directly, in any mode (see
+// examples/custom_algorithm.cpp).
 //
 // See DESIGN.md for the architecture and EXPERIMENTS.md for the paper
 // reproduction index.
@@ -42,7 +42,6 @@
 #include "core/job_config.h"
 #include "core/program.h"
 #include "core/run_metrics.h"
-#include "core/vpull_engine.h"
 #include "graph/edge_list.h"
 #include "graph/generator.h"
 #include "graph/partition.h"

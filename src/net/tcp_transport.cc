@@ -397,17 +397,22 @@ void TcpTransport::Shutdown() {
       channels_[i].fd = -1;
     }
   }
-  for (int& fd : listen_fds_) {
-    if (fd >= 0) {
-      ::shutdown(fd, SHUT_RDWR);
-      ::close(fd);
-      fd = -1;
-    }
+  // shutdown() wakes each ServeNode blocked in accept(); the fds are closed
+  // and reset only after those threads have exited, since they read
+  // listen_fds_ until then.
+  for (int fd : listen_fds_) {
+    if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
   }
   for (auto& t : server_threads_) {
     if (t.joinable()) t.join();
   }
   server_threads_.clear();
+  for (int& fd : listen_fds_) {
+    if (fd >= 0) {
+      ::close(fd);
+      fd = -1;
+    }
+  }
   started_.store(false);
 }
 

@@ -15,6 +15,7 @@
 
 #include "algos/bfs.h"
 #include "algos/sssp.h"
+#include "core/engine.h"
 #include "core/metrics_csv.h"
 #include "core/paths/bpull_path.h"
 #include "core/paths/push_path.h"
@@ -41,31 +42,18 @@ std::vector<Shape> TestShapes() {
   return shapes;
 }
 
+/// An Engine plus a handle on its driver.
 template <typename P>
 struct Rig {
-  std::unique_ptr<SuperstepDriver<P>> driver;
-  std::unique_ptr<PushPath<P>> push;
-  std::unique_ptr<BPullPath<P>> bpull;
-  std::unique_ptr<AdaptivePath<P>> adaptive;
+  std::unique_ptr<Engine<P>> engine;
+  SuperstepDriver<P>* driver = nullptr;
 };
 
 template <typename P>
 Rig<P> MakeRig(const JobConfig& cfg, P program) {
   Rig<P> rig;
-  rig.driver = std::make_unique<SuperstepDriver<P>>(cfg, program,
-                                                    /*gas_engine=*/false);
-  rig.push = std::make_unique<PushPath<P>>(rig.driver.get());
-  rig.bpull = std::make_unique<BPullPath<P>>(rig.driver.get());
-  rig.driver->InstallPath(rig.push.get(),
-                          /*active=*/cfg.mode != EngineMode::kBPull &&
-                              cfg.mode != EngineMode::kAdaptive);
-  rig.driver->InstallPath(rig.bpull.get(),
-                          /*active=*/cfg.mode == EngineMode::kBPull ||
-                              cfg.mode == EngineMode::kHybrid);
-  if (cfg.mode == EngineMode::kAdaptive) {
-    rig.adaptive = std::make_unique<AdaptivePath<P>>(rig.driver.get());
-    rig.driver->InstallPath(rig.adaptive.get(), /*active=*/true);
-  }
+  rig.engine = std::make_unique<Engine<P>>(cfg, program);
+  rig.driver = &rig.engine->driver();
   return rig;
 }
 
@@ -191,7 +179,7 @@ TEST(AdaptiveDeterminism, MetricsAndDecisionLogBitIdenticalAcrossThreads) {
     EXPECT_TRUE(rig.driver->Load(g).ok());
     EXPECT_TRUE(rig.driver->Run().ok());
     return std::make_pair(rig.driver->stats().supersteps,
-                          rig.adaptive->decision_log());
+                          rig.engine->adaptive_decision_log());
   };
   const auto [m1, log1] = run(1);
   const auto [m8, log8] = run(8);
@@ -301,7 +289,7 @@ std::string RunDecisionLog(const EdgeListGraph& g, int max_supersteps) {
   auto rig = MakeRig(cfg, program);
   EXPECT_TRUE(rig.driver->Load(g).ok());
   EXPECT_TRUE(rig.driver->Run().ok());
-  return rig.adaptive->decision_log();
+  return rig.engine->adaptive_decision_log();
 }
 
 TEST(AdaptiveGoldenGrid, RmatBfsDecisionSequence) {

@@ -7,8 +7,9 @@
 #include "algos/sa.h"
 #include "algos/sssp.h"
 #include "core/engine.h"
-#include "core/vpull_engine.h"
 #include "graph/generator.h"
+#include "hybridgraph/any_engine.h"
+#include "tests/core/reference_impls.h"
 
 namespace hybridgraph {
 namespace {
@@ -42,7 +43,7 @@ TEST(CrossEngine, LpaAgreesAcrossAllEngines) {
     EXPECT_EQ(engine.GatherValues().ValueOrDie(), reference);
   }
   {
-    VPullEngine<LpaProgram> engine(Base(EngineMode::kVPull), LpaProgram{});
+    Engine<LpaProgram> engine(Base(EngineMode::kVPull), LpaProgram{});
     ASSERT_TRUE(engine.Load(g).ok());
     ASSERT_TRUE(engine.Run().ok());
     EXPECT_EQ(engine.GatherValues().ValueOrDie(), reference);
@@ -77,12 +78,51 @@ TEST(CrossEngine, SaAgreesAcrossAllEngines) {
   {
     JobConfig c2 = cfg;
     c2.mode = EngineMode::kVPull;
-    VPullEngine<SaProgram> engine(c2, program);
+    Engine<SaProgram> engine(c2, program);
     ASSERT_TRUE(engine.Load(g).ok());
     ASSERT_TRUE(engine.Run().ok());
     const auto got = engine.GatherValues().ValueOrDie();
     for (size_t v = 0; v < got.size(); ++v) {
       ASSERT_EQ(got[v].adopted, reference[v].adopted) << v;
+    }
+  }
+}
+
+TEST(CrossEngine, MakeEngineRunsEveryModeToItsReference) {
+  // Every EngineMode goes through the one type-erased entry point and one
+  // Engine<P>; each must load, run and reproduce the reference values.
+  const auto g = TestGraph(64);
+  constexpr int kSteps = 5;
+  const auto expected_pr = ReferencePageRank(g, kSteps);
+  const auto expected_sssp = ReferenceSssp(g, 3);
+  for (size_t m = 0; m < kNumEngineModes; ++m) {
+    const EngineMode mode = static_cast<EngineMode>(m);
+    JobConfig cfg = Base(mode);
+    cfg.max_supersteps = kSteps;
+    auto pr = MakeEngine(cfg, AlgoKind::kPageRank).ValueOrDie();
+    ASSERT_TRUE(pr->Load(g).ok()) << EngineModeName(mode);
+    ASSERT_TRUE(pr->Run().ok()) << EngineModeName(mode);
+    const auto ranks = pr->GatherValuesAsDouble().ValueOrDie();
+    ASSERT_EQ(ranks.size(), expected_pr.size());
+    for (size_t v = 0; v < ranks.size(); ++v) {
+      ASSERT_NEAR(ranks[v], expected_pr[v], 1e-12)
+          << EngineModeName(mode) << " v=" << v;
+    }
+
+    cfg.max_supersteps = 200;
+    AlgoSpec spec;
+    spec.kind = AlgoKind::kSssp;
+    spec.source = 3;
+    spec.source_set = true;
+    auto sssp = MakeEngine(cfg, spec).ValueOrDie();
+    ASSERT_TRUE(sssp->Load(g).ok()) << EngineModeName(mode);
+    ASSERT_TRUE(sssp->Run().ok()) << EngineModeName(mode);
+    EXPECT_TRUE(sssp->converged()) << EngineModeName(mode);
+    const auto dist = sssp->GatherValuesAsDouble().ValueOrDie();
+    ASSERT_EQ(dist.size(), expected_sssp.size());
+    for (size_t v = 0; v < dist.size(); ++v) {
+      ASSERT_FLOAT_EQ(static_cast<float>(dist[v]), expected_sssp[v])
+          << EngineModeName(mode) << " v=" << v;
     }
   }
 }

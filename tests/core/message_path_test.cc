@@ -1,15 +1,16 @@
 // Strategy conformance: every MessagePath (push, pushM, b-pull, vpull,
 // graphhp, the adaptive per-cell mix and the hybrid combination) must
-// compute reference-identical results when
-// driven through the same SuperstepDriver fixture — the paths differ only in
-// how messages move, never in what the program computes. Each conformance
-// check runs fully sequential (1 thread) and parallel (8 threads).
+// compute reference-identical results when driven through the same Engine
+// fixture — the paths differ only in how messages move, never in what the
+// program computes. Each conformance check runs fully sequential (1 thread)
+// and parallel (8 threads).
 #include "core/message_path.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -18,6 +19,7 @@
 #include "algos/pagerank.h"
 #include "algos/sssp.h"
 #include "algos/wcc.h"
+#include "core/engine.h"
 #include "core/paths/adaptive_path.h"
 #include "core/paths/bpull_path.h"
 #include "core/paths/ghp_path.h"
@@ -35,58 +37,23 @@ EdgeListGraph TestGraph(uint64_t seed = 11) {
   return GeneratePowerLaw(800, 7.0, 0.8, seed);
 }
 
-/// A driver plus the installed strategies — the same wiring the Engine /
-/// VPullEngine facades do, but exposed so tests can drive any path through
-/// one shared fixture.
+/// An Engine plus a handle on its driver, so tests can drive every mode's
+/// paths through one shared fixture.
 template <typename P>
 struct DriverRig {
-  std::unique_ptr<SuperstepDriver<P>> driver;
-  std::unique_ptr<PushPath<P>> push;
-  std::unique_ptr<BPullPath<P>> bpull;
-  std::unique_ptr<VPullPath<P>> vpull;
-  std::unique_ptr<AdaptivePath<P>> adaptive;
-  std::unique_ptr<GhpPath<P>> ghp;
+  std::unique_ptr<Engine<P>> engine;
+  SuperstepDriver<P>* driver = nullptr;
 
   Result<std::vector<typename P::Value>> Gather() {
-    if (vpull) return vpull->GatherValues();
-    return driver->GatherValues();
+    return engine->GatherValues();
   }
 };
 
 template <typename P>
 DriverRig<P> MakeRig(const JobConfig& cfg, P program) {
   DriverRig<P> rig;
-  if (cfg.mode == EngineMode::kVPull) {
-    rig.driver = std::make_unique<SuperstepDriver<P>>(cfg, program,
-                                                      /*gas_engine=*/true);
-    rig.vpull = std::make_unique<VPullPath<P>>(rig.driver.get());
-    rig.driver->InstallPath(rig.vpull.get(), /*active=*/true);
-    return rig;
-  }
-  rig.driver = std::make_unique<SuperstepDriver<P>>(cfg, program,
-                                                    /*gas_engine=*/false);
-  if (cfg.mode == EngineMode::kPushM) {
-    rig.push = std::make_unique<PushMPath<P>>(rig.driver.get());
-  } else {
-    rig.push = std::make_unique<PushPath<P>>(rig.driver.get());
-  }
-  rig.bpull = std::make_unique<BPullPath<P>>(rig.driver.get());
-  rig.driver->InstallPath(rig.push.get(),
-                          /*active=*/cfg.mode != EngineMode::kBPull &&
-                              cfg.mode != EngineMode::kAdaptive &&
-                              cfg.mode != EngineMode::kGraphHp);
-  rig.driver->InstallPath(rig.bpull.get(),
-                          /*active=*/cfg.mode == EngineMode::kBPull ||
-                              cfg.mode == EngineMode::kHybrid);
-  if (cfg.mode == EngineMode::kAdaptive) {
-    rig.adaptive = std::make_unique<AdaptivePath<P>>(rig.driver.get());
-    rig.driver->InstallPath(rig.adaptive.get(), /*active=*/true);
-  }
-  if (cfg.mode == EngineMode::kGraphHp ||
-      (cfg.mode == EngineMode::kHybrid && cfg.hybrid_regime_graphhp)) {
-    rig.ghp = std::make_unique<GhpPath<P>>(rig.driver.get());
-    rig.driver->InstallPath(rig.ghp.get(), /*active=*/true);
-  }
+  rig.engine = std::make_unique<Engine<P>>(cfg, program);
+  rig.driver = &rig.engine->driver();
   return rig;
 }
 
@@ -190,78 +157,121 @@ INSTANTIATE_TEST_SUITE_P(Threads, MessagePathConformance,
 
 TEST(MessagePathCapabilities, PathsDeclareTheirNeeds) {
   JobConfig cfg = BaseConfig(EngineMode::kHybrid, 1);
-  SuperstepDriver<PageRankProgram> driver(cfg, PageRankProgram{},
-                                          /*gas_engine=*/false);
+  SuperstepDriver<PageRankProgram> driver(cfg, PageRankProgram{});
   PushPath<PageRankProgram> push(&driver);
   PushMPath<PageRankProgram> pushm(&driver);
   BPullPath<PageRankProgram> bpull(&driver);
   VPullPath<PageRankProgram> vpull(&driver);
   AdaptivePath<PageRankProgram> adaptive(&driver);
-
-  EXPECT_EQ(push.mode(), EngineMode::kPush);
-  EXPECT_TRUE(push.needs_adjacency());
-  EXPECT_FALSE(push.needs_veblocks());
-
-  EXPECT_EQ(pushm.mode(), EngineMode::kPushM);
-  EXPECT_TRUE(pushm.needs_adjacency());
-
-  EXPECT_EQ(bpull.mode(), EngineMode::kBPull);
-  EXPECT_FALSE(bpull.needs_adjacency());
-  EXPECT_TRUE(bpull.needs_veblocks());
-
-  EXPECT_EQ(vpull.mode(), EngineMode::kVPull);
-  EXPECT_FALSE(vpull.needs_adjacency());
-  EXPECT_FALSE(vpull.needs_veblocks());
-  EXPECT_FALSE(vpull.supports_aggregator());
-  EXPECT_FALSE(vpull.hybrid_metrics());
-
-  // The adaptive path needs both layouts (push cells walk adjacency, pull
-  // cells serve Eblocks) and answers pulls itself; per-cell mixing makes the
-  // single-direction Q_t metric inapplicable.
-  EXPECT_EQ(adaptive.mode(), EngineMode::kAdaptive);
-  EXPECT_TRUE(adaptive.needs_adjacency());
-  EXPECT_TRUE(adaptive.needs_veblocks());
-  EXPECT_TRUE(adaptive.serves_pulls());
-  EXPECT_FALSE(adaptive.hybrid_metrics());
-
-  // Only pull-serving paths advertise ServePull.
-  EXPECT_FALSE(push.serves_pulls());
-  EXPECT_FALSE(pushm.serves_pulls());
-  EXPECT_TRUE(bpull.serves_pulls());
-
-  // Block paths participate in aggregation and hybrid accounting.
-  EXPECT_TRUE(push.supports_aggregator());
-  EXPECT_TRUE(bpull.hybrid_metrics());
-
-  // GraphHP: push wire protocol plus the boundary/inner split, so it needs
-  // both layouts. The sub-iteration sweep is gated on the program's
-  // locally-iterable trait: off for PageRank (sum fold), on for SSSP.
   GhpPath<PageRankProgram> ghp(&driver);
-  EXPECT_EQ(ghp.mode(), EngineMode::kGraphHp);
-  EXPECT_TRUE(ghp.needs_adjacency());
-  EXPECT_TRUE(ghp.needs_veblocks());
-  EXPECT_FALSE(ghp.local_subiterations());
-  EXPECT_FALSE(ghp.serves_pulls());
-  EXPECT_TRUE(ghp.supports_aggregator());
 
-  SuperstepDriver<SsspProgram> sssp_driver(
-      BaseConfig(EngineMode::kGraphHp, 1), SsspProgram{},
-      /*gas_engine=*/false);
-  GhpPath<SsspProgram> ghp_sssp(&sssp_driver);
-  EXPECT_TRUE(ghp_sssp.local_subiterations());
+  // One row per path: its registry mode and its full capability set.
+  //   - Push family: adjacency walk plus hot-vertex mirroring.
+  //   - b-pull: the VE-BLOCK layout; the only plain pull server.
+  //   - vpull: owns its vertex-cut storage, no aggregator, no Q_t metrics.
+  //   - adaptive: both layouts (push cells walk adjacency, pull cells serve
+  //     Eblocks), answers pulls itself; per-cell mixing makes the
+  //     single-direction Q_t metric inapplicable.
+  //   - graphhp: push wire protocol plus the boundary/inner split.
+  struct Row {
+    const MessagePath<PageRankProgram>* path;
+    EngineMode mode;
+    PathCaps caps;
+  };
+  const PathCaps kPushCaps{.needs_adjacency = true,
+                           .mirrors_hot_vertices = true};
+  const Row rows[] = {
+      {&push, EngineMode::kPush, kPushCaps},
+      {&pushm, EngineMode::kPushM, kPushCaps},
+      {&bpull, EngineMode::kBPull,
+       {.needs_veblocks = true, .serves_pulls = true}},
+      {&vpull, EngineMode::kVPull,
+       {.supports_aggregator = false, .hybrid_metrics = false}},
+      {&adaptive, EngineMode::kAdaptive,
+       {.needs_adjacency = true,
+        .needs_veblocks = true,
+        .hybrid_metrics = false,
+        .serves_pulls = true,
+        .mirrors_hot_vertices = true}},
+      {&ghp, EngineMode::kGraphHp,
+       {.needs_adjacency = true,
+        .needs_veblocks = true,
+        .mirrors_hot_vertices = true}},
+  };
+  for (const Row& row : rows) {
+    EXPECT_EQ(row.path->mode(), row.mode);
+    EXPECT_TRUE(row.path->caps() == row.caps) << EngineModeName(row.mode);
+  }
 }
 
 TEST(MessagePathCapabilities, ServePullOnlyOnPullPaths) {
   // The driver routes kPullRequest to the b-pull slot; a path that does not
   // serve pulls must say so rather than silently answer.
   JobConfig cfg = BaseConfig(EngineMode::kPush, 1);
-  SuperstepDriver<PageRankProgram> driver(cfg, PageRankProgram{},
-                                          /*gas_engine=*/false);
+  SuperstepDriver<PageRankProgram> driver(cfg, PageRankProgram{});
   PushPath<PageRankProgram> push(&driver);
   NodeState node;
   Buffer response;
   const Status st = push.ServePull(node, 0, Slice(), &response);
   EXPECT_FALSE(st.ok());
+}
+
+// ----------------------------------------------------- hostile wire bytes
+
+Buffer Fixed32s(std::initializer_list<uint32_t> words) {
+  Buffer buf;
+  Encoder enc(&buf);
+  for (uint32_t w : words) enc.PutFixed32(w);
+  return buf;
+}
+
+TEST(PullWireValidation, OutOfRangeAndTruncatedPayloadsRejected) {
+  const auto g = TestGraph();
+
+  // Pull-Requests straight into the b-pull ServePull handler: target Vblock
+  // ids past the partition (legacy and batched forms) and truncated batches
+  // must fail before any Vblock range is looked up.
+  Engine<PageRankProgram> bpull(BaseConfig(EngineMode::kBPull, 1),
+                                PageRankProgram{});
+  ASSERT_TRUE(bpull.Load(g).ok());
+  const uint32_t num_vb = bpull.partition().num_vblocks();
+  for (const Buffer& payload :
+       {Fixed32s({num_vb}), Fixed32s({2, 0, 0xFFFFFFFFu}),
+        Fixed32s({3, 0}), Fixed32s({})}) {
+    std::vector<uint8_t> response;
+    EXPECT_FALSE(bpull.driver()
+                     .transport()
+                     .Call(1, 0, RpcMethod::kPullRequest, payload.AsSlice(),
+                           &response)
+                     .ok())
+        << payload.size() << " bytes";
+  }
+  // A well-formed request still succeeds on the same engine.
+  std::vector<uint8_t> response;
+  EXPECT_TRUE(bpull.driver()
+                  .transport()
+                  .Call(1, 0, RpcMethod::kPullRequest,
+                        Fixed32s({num_vb - 1}).AsSlice(), &response)
+                  .ok());
+
+  // Pull adverts into the adaptive consume: node 1 advertises a Vblock node
+  // 0 does not own, an id past the partition, or fewer ids than it counts.
+  // The advert is staged by the handler and decoded in the next consume.
+  SsspProgram program;
+  program.source = 17;
+  const uint32_t foreign_vb = bpull.partition().FirstVblockOf(1);
+  for (const Buffer& advert : {Fixed32s({1, foreign_vb}),
+                               Fixed32s({1, 0xFFFFFFFFu}), Fixed32s({2, 0})}) {
+    Engine<SsspProgram> adaptive(BaseConfig(EngineMode::kAdaptive, 1),
+                                 program);
+    ASSERT_TRUE(adaptive.Load(g).ok());
+    ASSERT_TRUE(adaptive.RunSuperstep().ok());
+    ASSERT_TRUE(adaptive.driver()
+                    .transport()
+                    .Post(1, 0, RpcMethod::kPullAdvert, advert.AsSlice())
+                    .ok());
+    EXPECT_FALSE(adaptive.RunSuperstep().ok()) << advert.size() << " bytes";
+  }
 }
 
 // ------------------------------------------------------------- trace spans

@@ -5,7 +5,6 @@
 #include "algos/pagerank.h"
 #include "algos/sssp.h"
 #include "core/engine.h"
-#include "core/vpull_engine.h"
 #include "graph/generator.h"
 
 namespace hybridgraph {
@@ -59,7 +58,7 @@ std::vector<typename P::Value> RunVPull(P program, int max_supersteps,
   cfg.num_nodes = 4;
   cfg.vpull_vertex_cache = cache;
   cfg.max_supersteps = max_supersteps;
-  VPullEngine<P> engine(cfg, program);
+  Engine<P> engine(cfg, program);
   auto g = SmallGraph();
   EXPECT_TRUE(engine.Load(g).ok());
   EXPECT_TRUE(engine.Run().ok());
