@@ -137,8 +137,7 @@ class Engine {
   /// Collects all vertex values (global, indexed by vertex id).
   Result<std::vector<Value>> GatherValues() { return driver_.GatherValues(); }
 
-  /// Theorem 2 quantities (valid after Load()).
-  uint64_t total_fragments() const { return driver_.total_fragments(); }
+  /// Theorem 2's max(0, |E|/2 - f) (valid after Load()).
   uint64_t b_lower_bound() const { return driver_.b_lower_bound(); }
 
   /// Serializes the full runtime state (superstep, mode, vertex values,
@@ -153,9 +152,8 @@ class Engine {
     return driver_.RestoreCheckpoint(data);
   }
 
-  /// The underlying driver — the streaming epoch services (ApplyEdgeBatch,
-  /// StartEpoch, ...) live there; see core/epoch_driver.h for the policy
-  /// wrapper that uses them.
+  /// The underlying driver; core/epoch_driver.h starts streaming epochs
+  /// through its StartEpoch.
   SuperstepDriver<P>& driver() { return driver_; }
 
   /// The adaptive path's accumulated per-cell decision log (empty unless

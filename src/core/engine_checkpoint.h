@@ -18,8 +18,8 @@ namespace hybridgraph {
 
 /// Views into the driver's scalar state captured/restored by checkpoints.
 /// RestoreCheckpoint writes through `last_rco` and `prev_aggregate` directly
-/// while decoding (the historical partial-failure behaviour); everything else
-/// is decoded into locals and assigned only after the header parses.
+/// while decoding; everything else is decoded into locals and assigned only
+/// after the header parses.
 struct CheckpointState {
   int* superstep = nullptr;
   EngineMode* mode = nullptr;
@@ -35,9 +35,9 @@ Status WriteEngineCheckpoint(std::vector<NodeState>& nodes,
                              Buffer* out);
 
 /// Restores a v2 image. On success *supersteps_run is set to the restored
-/// superstep; on failure the driver state may be partially mutated (exactly
-/// as before the refactor — recovery_test relies on the checksum rejecting
-/// torn images before any mutation).
+/// superstep; on failure the driver state may be partially mutated, so the
+/// checksum must reject a torn image before any mutation (recovery_test
+/// relies on that).
 Status RestoreEngineCheckpoint(std::vector<NodeState>& nodes,
                                const RangePartition& partition,
                                const JobConfig& config,

@@ -81,8 +81,7 @@ Status BuildBlockTopology(const EdgeListGraph& graph, const JobConfig& config,
                           const BlockTopologyHooks& hooks,
                           RangePartition* partition,
                           std::unique_ptr<Transport>* transport,
-                          std::vector<NodeState>* nodes, uint64_t total_edges,
-                          LoadMetrics* load, BlockTopologyCensus* census) {
+                          std::vector<NodeState>* nodes, LoadMetrics* load) {
   const uint32_t T = config.num_nodes;
 
   // Node ranges are fixed by an even vertex split — or, with
@@ -102,7 +101,6 @@ Status BuildBlockTopology(const EdgeListGraph& graph, const JobConfig& config,
     HG_ASSIGN_OR_RETURN(
         coarse, RangePartition::CreateUniform(graph.num_vertices, T, 1));
   }
-  census->total_in_degree = graph.edges.size();
 
   std::vector<uint64_t> node_in_degree(T, 0);
   for (VertexId v = 0; v < graph.num_vertices; ++v) {
@@ -181,6 +179,7 @@ Status BuildBlockTopology(const EdgeListGraph& graph, const JobConfig& config,
     load->shuffle_seconds = max_seconds;
   }
 
+  uint64_t total_fragments = 0;
   for (uint32_t i = 0; i < T; ++i) {
     NodeState& node = (*nodes)[i];
     node.id = i;
@@ -201,7 +200,7 @@ Status BuildBlockTopology(const EdgeListGraph& graph, const JobConfig& config,
       HG_ASSIGN_OR_RETURN(
           node.ve, VeBlockOverlay::Build(node.storage.get(), *partition, i,
                                          local_edges[i], in_degrees));
-      census->total_fragments += node.ve->TotalFragments();
+      total_fragments += node.ve->TotalFragments();
     }
 
     const uint32_t n = node.range.size();
@@ -216,14 +215,7 @@ Status BuildBlockTopology(const EdgeListGraph& graph, const JobConfig& config,
     node.pull_serve.assign(T, {});
     node.pull_advert_staged.assign(T, {});
     node.pull_advert_valid.assign(T, 0);
-    for (VertexId v = node.range.begin; v < node.range.end; ++v) {
-      const bool active = hooks.init_active(v);
-      node.active[v - node.range.begin] = active ? 1 : 0;
-      if (active) {
-        census->initial_messages += out_degrees[v];
-        ++census->initial_active_count;
-      }
-    }
+    SeedInitActive(hooks.init_active, &node);
     auto spill_a = std::make_unique<MessageSpill>(
         node.storage.get(), StringFormat("node%u/spill/a", i), msg_size);
     auto spill_b = std::make_unique<MessageSpill>(
@@ -248,14 +240,20 @@ Status BuildBlockTopology(const EdgeListGraph& graph, const JobConfig& config,
   load->adj_bytes = adj_bytes;
   load->veblock_bytes = ve_bytes;
   load->vblock_bytes = v_bytes;
-  load->total_fragments = census->total_fragments;
-  const uint64_t half_e = total_edges / 2;
-  load->b_lower_bound =
-      half_e > census->total_fragments ? half_e - census->total_fragments : 0;
+  load->total_fragments = total_fragments;
+  const uint64_t half_e = graph.num_edges() / 2;
+  load->b_lower_bound = half_e > total_fragments ? half_e - total_fragments : 0;
   // Modeled load time: sequential write of everything built.
   load->load_seconds =
       ModeledLoadSeconds(config, bytes_written) + load->shuffle_seconds;
   return Status::OK();
+}
+
+void SeedInitActive(const std::function<bool(VertexId)>& init_active,
+                    NodeState* node) {
+  for (VertexId v = node->range.begin; v < node->range.end; ++v) {
+    node->active[node->LocalIdx(v)] = init_active(v) ? 1 : 0;
+  }
 }
 
 }  // namespace hybridgraph

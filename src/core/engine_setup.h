@@ -1,9 +1,9 @@
-// Load-time construction shared by both engine front-ends: transport and
+// Load-time construction of the block-centric engine: transport and
 // per-node storage factories, the CPU-scale fold, Vblock derivation
 // (Eq. 5/6), and the full block-centric topology build (partition, stores,
-// flags, inboxes, load metrics) that Engine and the hybrid driver used to
-// duplicate inline. Program-specific pieces (initial values/activity, raw
-// combine shims) arrive as callbacks so this compiles once.
+// flags, inboxes, load metrics). Program-specific pieces (initial
+// values/activity, raw combine shims) arrive as callbacks so this compiles
+// once.
 #pragma once
 
 #include <cstdint>
@@ -55,15 +55,6 @@ struct BlockTopologyHooks {
   SendStaging::CombineRawFn staging_combiner = nullptr;
 };
 
-/// Graph census accumulated while building, consumed by the Theorem 2
-/// initial-mode decision.
-struct BlockTopologyCensus {
-  uint64_t total_in_degree = 0;
-  uint64_t total_fragments = 0;
-  uint64_t initial_messages = 0;      ///< sum out-degree over initially-active
-  uint64_t initial_active_count = 0;  ///< caller divides by |V| for the frac
-};
-
 /// Builds everything the block-centric engine needs before superstep 0:
 /// partition (Eq. 5/6 Vblocks), edge shuffle (optionally metered), per-node
 /// storage + vertex/adjacency/VE-BLOCK stores, flags, staging, double-
@@ -76,7 +67,11 @@ Status BuildBlockTopology(const EdgeListGraph& graph, const JobConfig& config,
                           const BlockTopologyHooks& hooks,
                           RangePartition* partition,
                           std::unique_ptr<Transport>* transport,
-                          std::vector<NodeState>* nodes, uint64_t total_edges,
-                          LoadMetrics* load, BlockTopologyCensus* census);
+                          std::vector<NodeState>* nodes, LoadMetrics* load);
+
+/// Sets every `active` flag of `node` to init_active(v) — the superstep-0
+/// frontier of a load, and of an epoch that recomputes from scratch.
+void SeedInitActive(const std::function<bool(VertexId)>& init_active,
+                    NodeState* node);
 
 }  // namespace hybridgraph

@@ -10,17 +10,20 @@
 // batch run over the mutated graph — exactly for the monotone traversal
 // programs, within the aggregator tolerance band for PageRankDelta.
 //
-// Per-program reconvergence policy:
-//   PageRankDelta — warm restart, seed all (rank mass shifts globally, but
-//     reconvergence from the previous fixpoint needs few supersteps for
-//     small batches — that is the delta-propagation saving).
-//   SSSP / BFS / WCC (monotone, min-combinable) — warm restart seeding only
-//     the batch's endpoints when the batch is insert-only (improvements can
-//     only originate at new edges); a batch with deletes invalidates the
-//     monotone argument, so the epoch reinitializes values and recomputes
-//     from scratch, still over the mutated (delta-run) stores.
+// Reconvergence policy, derived from the program's traits:
+//   Always-Active (PageRankDelta) — warm restart, seed all (rank mass shifts
+//     globally, but reconvergence from the previous fixpoint needs few
+//     supersteps for small batches — that is the delta-propagation saving).
+//   Locally iterable (SSSP / BFS / WCC: monotone, min-combinable) — warm
+//     restart seeding only the batch's endpoints when the batch is
+//     insert-only (improvements can only originate at new edges); a batch
+//     with deletes invalidates the monotone argument, so the epoch
+//     reinitializes values and recomputes from scratch, still over the
+//     mutated (delta-run) stores.
 //
-// EpochEngine<P> wires the policy over Engine<P>; AnyEpochEngine is the
+// ApplyEdgeBatch (compiled once, no Program template) patches the stores;
+// SuperstepDriver::StartEpoch seeds the frontier and rewinds the BSP state.
+// EpochEngine<P> wires both over Engine<P>; AnyEpochEngine is the
 // type-erased surface the query server (serve/) and tools drive, created by
 // MakeEpochEngine from an algorithm name.
 #pragma once
@@ -32,9 +35,12 @@
 
 #include "core/engine.h"
 #include "core/job_config.h"
+#include "core/node_state.h"
 #include "core/run_metrics.h"
+#include "core/superstep_driver.h"
 #include "graph/edge_delta.h"
 #include "graph/edge_list.h"
+#include "graph/partition.h"
 #include "util/status.h"
 
 namespace hybridgraph {
@@ -52,7 +58,7 @@ struct EpochMetrics {
   bool warm = false;              ///< delta propagation vs in-place recompute
   uint64_t supersteps = 0;        ///< supersteps this epoch ran
   double ingest_wall_s = 0;       ///< wall: ApplyEdgeBatch
-  double converge_wall_s = 0;     ///< wall: seed + StartEpoch + Run
+  double converge_wall_s = 0;     ///< wall: StartEpoch + Run
   double modeled_seconds = 0;     ///< modeled cluster time for the epoch
   uint64_t read_bytes = 0;        ///< storage reads across nodes (modeled)
   uint64_t write_bytes = 0;       ///< storage writes across nodes (modeled)
@@ -67,6 +73,18 @@ std::string EpochMetricsCsvHeader();
 std::string EpochMetricsCsvRow(const EpochMetrics& m);
 /// A JSON array of epoch objects (pretty enough for committed baselines).
 std::string EpochMetricsJson(const std::vector<EpochMetrics>& all);
+
+/// Applies one edge batch to the mutable stores of every owning node in
+/// `nodes`: the VE-BLOCK overlay gains delta runs (in-degree metadata routed
+/// to the destination owners), adjacency blocks are rewritten, and
+/// out-degrees are patched in memory plus refreshed in the touched on-disk
+/// Vblock records (pull serves decode the degree from those records).
+/// In-flight readahead is cancelled first. `touched` (optional) receives the
+/// batch's sorted, distinct endpoint set for frontier seeding. Runs on the
+/// driver thread with metered store operations only.
+Status ApplyEdgeBatch(const RangePartition& partition, const EdgeBatch& batch,
+                      std::vector<NodeState>& nodes,
+                      std::vector<VertexId>* touched);
 
 /// \brief Type-erased epoch engine: Load + cold initial run, then one
 /// RunEpoch per batch. Values surface as double for the query layer.
@@ -100,22 +118,24 @@ struct EpochAlgoSpec {
 };
 
 /// Builds the epoch engine for `spec` over `config`. Streaming requires the
-/// block-centric engine: config.mode must be push, pushM, b-pull or hybrid.
+/// block-centric engine: config.mode must be push, pushM, b-pull, hybrid or
+/// graphhp.
 Result<std::unique_ptr<AnyEpochEngine>> MakeEpochEngine(const JobConfig& config,
                                                         const EpochAlgoSpec& spec);
 
-/// \brief The policy wrapper: Engine<P> + per-program epoch policy.
+/// \brief The policy wrapper: Engine<P> + the epoch policy its traits imply.
 template <typename P>
 class EpochEngine : public AnyEpochEngine {
  public:
-  /// How an epoch reconverges after ingest.
-  enum class Policy {
-    kSeedAll,          ///< warm restart, whole graph active (PageRankDelta)
-    kMonotoneInserts,  ///< warm + seed endpoints if insert-only, else reinit
-  };
+  // Seeding only a batch's endpoints reaches the cold fixpoint only when an
+  // improvement can originate nowhere else — true for monotone, locally
+  // iterable programs; Always-Active programs reseed the whole graph.
+  static_assert(P::kAlwaysActive || LocallyIterable<P>,
+                "streaming epochs need an Always-Active or a locally "
+                "iterable (monotone) program");
 
-  EpochEngine(JobConfig config, P program, Policy policy)
-      : engine_(std::move(config), std::move(program)), policy_(policy) {}
+  EpochEngine(JobConfig config, P program)
+      : engine_(std::move(config), std::move(program)) {}
 
   Status Load(const EdgeListGraph& graph) override {
     return engine_.Load(graph);
@@ -137,21 +157,18 @@ class EpochEngine : public AnyEpochEngine {
 
     const auto t0 = std::chrono::steady_clock::now();
     std::vector<VertexId> touched;
-    HG_RETURN_IF_ERROR(drv.ApplyEdgeBatch(batch, &touched));
+    HG_RETURN_IF_ERROR(
+        ApplyEdgeBatch(drv.partition(), batch, drv.nodes(), &touched));
     const auto t1 = std::chrono::steady_clock::now();
 
-    bool warm = true;
-    if (policy_ == Policy::kSeedAll) {
-      drv.SeedAllActives();
-    } else if (!batch.HasDeletes()) {
-      // Insert-only: every possible improvement originates at a new edge's
-      // source, which re-announces its converged value at superstep 0.
-      drv.SeedEpochActives(touched);
-    } else {
-      warm = false;
-      HG_RETURN_IF_ERROR(drv.ReinitEpochState());
-    }
-    HG_RETURN_IF_ERROR(drv.StartEpoch(warm));
+    // Insert-only batches of a monotone program: every possible improvement
+    // originates at a new edge's source, which re-announces its converged
+    // value at superstep 0.
+    const EpochSeed seed = P::kAlwaysActive ? EpochSeed::kAll
+                           : batch.HasDeletes() ? EpochSeed::kReinit
+                                                : EpochSeed::kTouched;
+    const bool warm = seed != EpochSeed::kReinit;
+    HG_RETURN_IF_ERROR(drv.StartEpoch(seed, touched));
     HG_RETURN_IF_ERROR(engine_.Run());
     const auto t2 = std::chrono::steady_clock::now();
 
@@ -216,7 +233,6 @@ class EpochEngine : public AnyEpochEngine {
 
  private:
   Engine<P> engine_;
-  Policy policy_;
   uint64_t epochs_run_ = 0;
 };
 

@@ -96,7 +96,7 @@ BPullCostEstimate EstimateCioBPull(const RangePartition& partition,
 Result<EngineMode> DecideInitialMode(const JobConfig& config,
                                      const std::vector<NodeState>& nodes,
                                      const HybridFacts& facts,
-                                     const InitialModeInputs& in) {
+                                     uint64_t b_lower_bound) {
   // Every mode but hybrid runs its own path for the whole job: push, pushM,
   // b-pull and vpull have one direction, adaptive decides per Eblock cell
   // inside its path, and GraphHP is push with intra-block sub-iterations
@@ -114,7 +114,7 @@ Result<EngineMode> DecideInitialMode(const JobConfig& config,
   const uint64_t b_total = BTotal(config);
   if (config.qt_use_table3_throughputs) {
     // Theorem 2's literal sufficient condition: b-pull iff B <= |E|/2-f.
-    return (b_total != UINT64_MAX && b_total <= in.b_lower_bound)
+    return (b_total != UINT64_MAX && b_total <= b_lower_bound)
                ? EngineMode::kBPull
                : EngineMode::kPush;
   }
@@ -125,22 +125,32 @@ Result<EngineMode> DecideInitialMode(const JobConfig& config,
   // initially-active vertices). For Always-Active jobs this equals
   // |E| — the theorem's premise; for Traversal-Style jobs the tiny
   // starting frontier correctly favours push.
-  const double mdisk_bytes =
-      (b_total == UINT64_MAX || in.initial_messages <= b_total)
-          ? 0.0
-          : static_cast<double>(in.initial_messages - b_total) *
-                facts.msg_record_size;
-  const double mb = 1024.0 * 1024.0;
-  uint64_t adj_bytes = 0, e_bytes = 0, f_bytes = 0;
+  uint64_t adj_bytes = 0, e_bytes = 0, f_bytes = 0, total_fragments = 0;
+  uint64_t initial_messages = 0, active = 0, vertices = 0;
   for (const auto& node : nodes) {
     if (node.adj) adj_bytes += node.adj->TotalBytes();
     if (node.ve) {
       e_bytes += node.ve->TotalEdgeBytes();
       f_bytes += node.ve->TotalAuxBytes();
+      total_fragments += node.ve->TotalFragments();
+    }
+    vertices += node.range.size();
+    for (VertexId v = node.range.begin; v < node.range.end; ++v) {
+      if (node.active[node.LocalIdx(v)]) {
+        ++active;
+        initial_messages += node.vstore->OutDegree(v);
+      }
     }
   }
-  const double frac = in.initial_active_frac;
-  const double fragments = static_cast<double>(in.total_fragments) * frac;
+  const double mdisk_bytes =
+      (b_total == UINT64_MAX || initial_messages <= b_total)
+          ? 0.0
+          : static_cast<double>(initial_messages - b_total) *
+                facts.msg_record_size;
+  const double mb = 1024.0 * 1024.0;
+  const double frac =
+      static_cast<double>(active) / static_cast<double>(vertices);
+  const double fragments = static_cast<double>(total_fragments) * frac;
   const double vrr_bytes =
       fragments * static_cast<double>(facts.value_record_size);
   const double q0 =

@@ -36,21 +36,16 @@ struct HybridState {
   uint64_t prev_responding = 0;  ///< responding count, previous superstep
 };
 
-/// Inputs to the Theorem 2 initial-mode decision that only the load path
-/// knows (graph census accumulated while building the stores).
-struct InitialModeInputs {
-  uint64_t b_lower_bound = 0;       ///< max(0, |E|/2 - f)
-  uint64_t initial_messages = 0;    ///< sum out-degree over initially-active
-  double initial_active_frac = 0;   ///< |initially active| / |V|
-  uint64_t total_fragments = 0;
-};
-
 /// Resolves the starting production mode for config.mode (Algorithm 3 line 2;
-/// Theorem 2 for hybrid). Every mode but hybrid starts in itself.
+/// Theorem 2 for hybrid). Every mode but hybrid starts in itself. Hybrid
+/// reads its census — the initial frontier (`active` flags and the messages
+/// it will send), the fragment total and the store sizes — from `nodes` as
+/// they stand, so a load and every epoch start decide from the same source.
+/// `b_lower_bound` is the load-time max(0, |E|/2 - f).
 Result<EngineMode> DecideInitialMode(const JobConfig& config,
                                      const std::vector<NodeState>& nodes,
                                      const HybridFacts& facts,
-                                     const InitialModeInputs& in);
+                                     uint64_t b_lower_bound);
 
 /// Evaluates Eq. (11) for the superstep just finished: fills the q_t /
 /// predicted_* / actual_* fields of `m`, updates the controller state, and —

@@ -3,7 +3,7 @@
 // per-vertex pending set Phase A collects into. Both store raw encoded
 // message payloads so the containers compile once (no Program template) —
 // PodCodec encode/decode is a memcpy round trip, so raw storage is
-// bit-identical to the typed vectors the engine used to keep.
+// bit-identical to typed message vectors.
 #pragma once
 
 #include <cstdint>

@@ -99,8 +99,7 @@ struct JobConfig {
   /// Appendix E). Scaled down with the datasets like the thresholds.
   double flush_overhead_s = 20e-6;
 
-  /// \brief The I/O knobs, grouped (was: top-level spill_merge_buffer_bytes
-  /// and spill_combining; see DESIGN.md "Config migration notes").
+  /// \brief The I/O knobs: spill merge and combining, readahead.
   struct IoConfig {
     /// Per-run buffer of the streaming spill merge (bytes). The push-mode
     /// inbox drain holds at most B_i messages plus

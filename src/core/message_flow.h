@@ -5,8 +5,8 @@
 // inbox or from pull responses, and flushing the sender staging buffers.
 //
 // All message payloads stay raw encoded bytes; the typed Combine logic is
-// injected as CombineRawFn shims, so these functions compile once and stay
-// bit-identical to the old per-Program template code (PodCodec is memcpy).
+// injected as CombineRawFn shims, so these functions compile once. PodCodec
+// is a memcpy round trip, so raw payloads are bit-identical to typed ones.
 #pragma once
 
 #include <cstdint>

@@ -21,4 +21,30 @@ void MergePullServeCounters(NodeState& node, uint32_t num_nodes) {
   }
 }
 
+Status ResetEpochState(NodeState& node) {
+  std::fill(node.responding.begin(), node.responding.end(), 0);
+  std::fill(node.responding_next.begin(), node.responding_next.end(), 0);
+  std::fill(node.vblock_res.begin(), node.vblock_res.end(), 0);
+  std::fill(node.vblock_res_next.begin(), node.vblock_res_next.end(), 0);
+  node.inbox_cur.ClearMem();
+  node.inbox_next.ClearMem();
+  if (node.inbox_cur.spill() != nullptr) {
+    HG_RETURN_IF_ERROR(node.inbox_cur.spill()->Clear());
+  }
+  if (node.inbox_next.spill() != nullptr) {
+    HG_RETURN_IF_ERROR(node.inbox_next.spill()->Clear());
+  }
+  for (uint32_t li = 0; li < node.range.size(); ++li) {
+    if (node.pending.Has(li)) node.pending.ConsumeAt(li);
+  }
+  node.pending.ResetCount();
+  std::fill(node.moc_acc.begin(), node.moc_acc.end(), 0);
+  std::fill(node.moc_has.begin(), node.moc_has.end(), 0);
+  std::fill(node.mirror_acc.begin(), node.mirror_acc.end(), 0);
+  std::fill(node.mirror_has.begin(), node.mirror_has.end(), 0);
+  for (auto& staged : node.push_staged) staged.clear();
+  std::fill(node.pull_advert_valid.begin(), node.pull_advert_valid.end(), 0);
+  return Status::OK();
+}
+
 }  // namespace hybridgraph

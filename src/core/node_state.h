@@ -22,6 +22,7 @@
 #include "io/prefetch.h"
 #include "io/storage.h"
 #include "net/transport.h"
+#include "util/status.h"
 
 namespace hybridgraph {
 
@@ -153,6 +154,13 @@ struct NodeState {
 
   uint32_t LocalIdx(VertexId v) const { return v - range.begin; }
 };
+
+/// Rewinds `node`'s BSP state for a new streaming epoch: no responding
+/// flags, no undelivered messages (memory, spill, pending, staged pushes),
+/// no accumulator or advert leftovers. Stores and `active` flags are the
+/// caller's. An aggregator halt can leave produced-but-unconsumed messages
+/// in the promoted inbox; a new epoch starts clean.
+Status ResetEpochState(NodeState& node);
 
 /// Folds the per-requester Pull-Respond counters into the node's counters
 /// in requester order — the order the sequential engine accumulated them —

@@ -21,7 +21,6 @@
 #include <array>
 #include <chrono>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "core/aggregators.h"
@@ -36,7 +35,6 @@
 #include "core/run_metrics.h"
 #include "core/superstep_accounting.h"
 #include "core/trace.h"
-#include "graph/edge_delta.h"
 #include "graph/edge_list.h"
 #include "graph/partition.h"
 #include "net/message_codec.h"
@@ -48,6 +46,13 @@
 #include "util/thread_pool.h"
 
 namespace hybridgraph {
+
+/// How SuperstepDriver::StartEpoch seeds a streaming epoch's frontier.
+enum class EpochSeed {
+  kAll,      ///< warm restart with every vertex active
+  kTouched,  ///< warm restart with only the batch's endpoints active
+  kReinit,   ///< cold restart: InitValue values, InitActive frontier
+};
 
 template <typename P>
 class SuperstepDriver {
@@ -86,7 +91,6 @@ class SuperstepDriver {
     if (config_.io.prefetch_depth > 0) {
       io_pool_ = std::make_unique<ThreadPool>(config_.io.prefetch_threads);
     }
-    total_edges_ = graph.num_edges();
     FoldCpuScale(&config_);
     ctx_.num_vertices = graph.num_vertices;
     ctx_.superstep = 0;
@@ -263,25 +267,10 @@ class SuperstepDriver {
       any_mirrors = any_mirrors || path->caps().mirrors_hot_vertices;
     }
 
-    BlockTopologyHooks hooks;
-    hooks.init_value = [this](VertexId v, uint8_t* out) {
-      const Value val = program_.InitValue(v, ctx_);
-      PodCodec<Value>::Encode(val, out);
-    };
-    hooks.init_active = [this](VertexId v) { return program_.InitActive(v); };
-    if constexpr (P::kCombinable) {
-      hooks.pending_combiner = &ProgramOps<P>::CombineRaw;
-      hooks.staging_combiner = &ProgramOps<P>::CombineRaw;
-      if (config_.io.spill_combining) {
-        hooks.spill_combiner = &ProgramOps<P>::CombineRaw;
-      }
-    }
-
-    BlockTopologyCensus census;
     HG_RETURN_IF_ERROR(BuildBlockTopology(
         graph, config_, P::kCombinable, P::kValueSize, kMsgSize, need_adj,
-        need_ve, hooks, &partition_, &transport_, &nodes_, total_edges_,
-        &stats_.load, &census));
+        need_ve, TopologyHooks(), &partition_, &transport_, &nodes_,
+        &stats_.load));
     // Degree-aware vertex mirroring: hot set from the global in-degree
     // distribution, one accumulator slot per (node, hot vertex). Only built
     // when a registered producer folds mirrors (push family / adaptive);
@@ -295,12 +284,6 @@ class SuperstepDriver {
         node.mirror_has.assign(mirror_table_.size(), 0);
       }
     }
-
-    total_in_degree_ = census.total_in_degree;
-    total_fragments_ = census.total_fragments;
-    initial_messages_ = census.initial_messages;
-    initial_active_frac_ = static_cast<double>(census.initial_active_count) /
-                           static_cast<double>(graph.num_vertices);
 
     for (auto& node : nodes_) {
       node.pipeline = MakeReadPipeline(node.storage.get(), node.id);
@@ -386,232 +369,46 @@ class SuperstepDriver {
                                    &stats_.supersteps_run);
   }
 
-  // ------------------------------------------------ streaming epoch services
-  //
-  // The epoch driver (core/epoch_driver.h) mutates the loaded topology
-  // between converged runs: ApplyEdgeBatch patches every store layer,
-  // SeedEpochActives / SeedAllActives / ReinitEpochState choose the frontier,
-  // StartEpoch rewinds the BSP state, then the normal Run() loop reconverges.
-  // All of it runs on the driver thread and uses only metered store
-  // operations, so modeled metrics stay bit-identical across thread counts.
+  // ------------------------------------------------ streaming epoch entry
 
-  /// Applies one edge batch to the mutable stores of every owning node: the
-  /// VE-BLOCK overlay gains delta runs (in-degree metadata routed to the
-  /// destination owners), adjacency blocks are rewritten, and out-degrees
-  /// are patched in memory plus refreshed in the touched on-disk Vblock
-  /// records (pull serves decode the degree from those records). `touched`
-  /// (optional) receives the batch's endpoint set for frontier seeding.
-  Status ApplyEdgeBatch(const EdgeBatch& batch,
-                        std::vector<VertexId>* touched) {
+  /// Starts a streaming epoch over the already-mutated stores (the epoch
+  /// driver applies the batch first, core/epoch_driver.h): seeds the
+  /// frontier per `seed`, rewinds the BSP state to superstep 0 with fresh
+  /// hybrid and aggregator state, and re-decides the initial mode from the
+  /// epoch's frontier. The normal Run() loop then reconverges. `touched` is
+  /// read only for kTouched. A warm seed keeps the converged values as the
+  /// starting point (ctx.warm_restart lets seeded traversal vertices respond
+  /// at superstep 0); kReinit rewrites every Vblock to InitValue and
+  /// re-seeds InitActive. Runs on the driver thread with metered store
+  /// operations only, so modeled metrics are thread-count invariant.
+  Status StartEpoch(EpochSeed seed, const std::vector<VertexId>& touched) {
     if (!loaded_ || !topology_built_) {
       return Status::FailedPrecondition(
           "streaming requires a loaded block-centric topology");
     }
-    HG_RETURN_IF_ERROR(ValidateBatch(ctx_.num_vertices, batch));
-    // In-flight readahead was issued against pre-batch bytes; cancel it all.
-    // (The store writes below also invalidate matching staged reads via the
-    // storage mutation observers — this is the belt to that suspender.)
-    for (auto& node : nodes_) {
-      if (node.pipeline) node.pipeline->CancelAll();
-    }
-
-    std::vector<std::vector<EdgeDelta>> per_node(config_.num_nodes);
-    for (const auto& d : batch.deltas) {
-      per_node[partition_.NodeOf(d.src)].push_back(d);
-    }
-    DegreeDeltaMap in_deg;    // global, keyed by destination vertex
-    DegreeDeltaMap cross_in;  // global, cross-Vblock share of in_deg
-    int64_t net_edges = 0;
-    for (uint32_t i = 0; i < config_.num_nodes; ++i) {
-      if (per_node[i].empty()) continue;
-      NodeState& node = nodes_[i];
-      DegreeDeltaMap out_deg;
-      // The overlay is the out-degree source of truth when both stores are
-      // built (they apply identical merge semantics, so the deltas agree).
-      if (node.ve != nullptr) {
-        HG_RETURN_IF_ERROR(
-            node.ve->ApplyBatch(per_node[i], &out_deg, &in_deg, &cross_in));
-        if (node.adj != nullptr) {
-          HG_RETURN_IF_ERROR(node.adj->ApplyBatch(per_node[i], nullptr));
-        }
-      } else if (node.adj != nullptr) {
-        HG_RETURN_IF_ERROR(node.adj->ApplyBatch(per_node[i], &out_deg));
-        for (const auto& d : per_node[i]) {
-          if (!d.is_delete) in_deg[d.dst] += 1;
-        }
-      } else {
-        return Status::FailedPrecondition("no mutable edge store on node");
-      }
-      std::set<uint32_t> touched_vbs;
-      for (const auto& [v, dd] : out_deg) {
-        net_edges += dd;
-        node.vstore->AdjustOutDegree(v, dd);
-        touched_vbs.insert(partition_.VblockOf(v));
-      }
-      // Refresh the on-disk records of the touched Vblocks (WriteBlock
-      // re-encodes the degree field from the memory copy just patched).
-      std::vector<uint8_t> values;
-      for (uint32_t vb : touched_vbs) {
-        HG_RETURN_IF_ERROR(
-            node.vstore->ReadBlock(vb, &values, IoClass::kSeqRead));
-        HG_RETURN_IF_ERROR(
-            node.vstore->WriteBlock(vb, values, IoClass::kSeqWrite));
-      }
-    }
-    for (const auto& [v, dd] : in_deg) {
-      NodeState& owner = nodes_[partition_.NodeOf(v)];
-      if (owner.ve != nullptr) {
-        owner.ve->AdjustInDegree(partition_.VblockOf(v), dd);
-      }
-    }
-    // Cross-Vblock in-edge deltas reach the destination owner's overlay so
-    // boundary/inner classification stays exact under remote-source deltas.
-    for (const auto& [v, dd] : cross_in) {
-      NodeState& owner = nodes_[partition_.NodeOf(v)];
-      if (owner.ve != nullptr) owner.ve->AdjustCrossIn(v, dd);
-    }
-    // Refresh the census the next initial-mode decision reads.
-    uint64_t fragments = 0;
-    bool any_ve = false;
-    for (auto& node : nodes_) {
-      if (node.ve != nullptr) {
-        any_ve = true;
-        fragments += node.ve->TotalFragments();
-      }
-    }
-    if (any_ve) total_fragments_ = fragments;
-    total_edges_ =
-        static_cast<uint64_t>(static_cast<int64_t>(total_edges_) + net_edges);
-    if (touched != nullptr) {
-      std::set<VertexId> touched_set;
-      for (const auto& d : batch.deltas) {
-        touched_set.insert(d.src);
-        touched_set.insert(d.dst);
-      }
-      touched->assign(touched_set.begin(), touched_set.end());
-    }
-    return Status::OK();
-  }
-
-  /// Clears every active flag, then activates exactly `touched`; refreshes
-  /// the frontier census (initial messages / active fraction) the epoch's
-  /// initial-mode decision reads.
-  void SeedEpochActives(const std::vector<VertexId>& touched) {
-    for (auto& node : nodes_) {
-      std::fill(node.active.begin(), node.active.end(), 0);
-    }
-    uint64_t seeded = 0;
-    uint64_t msgs = 0;
-    for (VertexId v : touched) {
-      NodeState& node = nodes_[partition_.NodeOf(v)];
-      uint8_t& slot = node.active[node.LocalIdx(v)];
-      if (slot == 0) {
-        slot = 1;
-        ++seeded;
-        msgs += node.vstore->OutDegree(v);
-      }
-    }
-    initial_messages_ = msgs;
-    initial_active_frac_ =
-        static_cast<double>(seeded) / static_cast<double>(ctx_.num_vertices);
-  }
-
-  /// Activates every vertex: Always-Active programs reconverge from the
-  /// whole graph on a warm restart (superstep 0 re-announces all values).
-  void SeedAllActives() {
-    uint64_t msgs = 0;
-    for (auto& node : nodes_) {
-      std::fill(node.active.begin(), node.active.end(), 1);
-      for (VertexId v = node.range.begin; v < node.range.end; ++v) {
-        msgs += node.vstore->OutDegree(v);
-      }
-    }
-    initial_messages_ = msgs;
-    initial_active_frac_ = 1.0;
-  }
-
-  /// Cold restart inside the loaded engine: rewrites every Vblock to
-  /// InitValue and re-seeds InitActive. Used when a batch deleted edges and
-  /// the program is monotone — the converged values are no longer a valid
-  /// starting point, so the epoch recomputes from scratch (still over the
-  /// mutated stores).
-  Status ReinitEpochState() {
-    ctx_.superstep = 0;
-    uint64_t seeded = 0;
-    uint64_t msgs = 0;
-    std::vector<uint8_t> values;
-    for (auto& node : nodes_) {
-      for (uint32_t vb = partition_.FirstVblockOf(node.id);
-           vb < partition_.LastVblockOf(node.id); ++vb) {
-        const VertexRange r = partition_.VblockRange(vb);
-        values.assign(static_cast<size_t>(r.size()) * P::kValueSize, 0);
-        for (VertexId v = r.begin; v < r.end; ++v) {
-          const Value val = program_.InitValue(v, ctx_);
-          PodCodec<Value>::Encode(
-              val, values.data() +
-                       static_cast<size_t>(v - r.begin) * P::kValueSize);
-        }
-        HG_RETURN_IF_ERROR(
-            node.vstore->WriteBlock(vb, values, IoClass::kSeqWrite));
-      }
-      for (VertexId v = node.range.begin; v < node.range.end; ++v) {
-        const bool a = program_.InitActive(v);
-        node.active[node.LocalIdx(v)] = a ? 1 : 0;
-        if (a) {
-          ++seeded;
-          msgs += node.vstore->OutDegree(v);
-        }
-      }
-    }
-    initial_messages_ = msgs;
-    initial_active_frac_ =
-        static_cast<double>(seeded) / static_cast<double>(ctx_.num_vertices);
-    return Status::OK();
-  }
-
-  /// Rewinds the BSP state for a new epoch: superstep 0, no leftover
-  /// messages/flags/accumulators, fresh hybrid and aggregator state, and a
-  /// fresh initial-mode decision from the refreshed census. `warm` keeps the
-  /// converged values as the starting point (ctx.warm_restart lets seeded
-  /// traversal vertices respond at superstep 0). Call after the stores and
-  /// active seeds are in their epoch-start state.
-  Status StartEpoch(bool warm) {
-    if (!loaded_) return Status::FailedPrecondition("Load() first");
     superstep_ = 0;
     converged_ = false;
     hybrid_ = HybridState{};
     ctx_.superstep = 0;
     ctx_.prev_aggregate = 0;
-    ctx_.warm_restart = warm;
+    ctx_.warm_restart = seed != EpochSeed::kReinit;
     pull_gen_aggregate_ = 0;
+    const BlockTopologyHooks hooks = TopologyHooks();
     for (auto& node : nodes_) {
-      std::fill(node.responding.begin(), node.responding.end(), 0);
-      std::fill(node.responding_next.begin(), node.responding_next.end(), 0);
-      std::fill(node.vblock_res.begin(), node.vblock_res.end(), 0);
-      std::fill(node.vblock_res_next.begin(), node.vblock_res_next.end(), 0);
-      // An aggregator halt can leave produced-but-unconsumed messages in the
-      // promoted inbox; a new epoch starts clean.
-      node.inbox_cur.ClearMem();
-      node.inbox_next.ClearMem();
-      node.inbox_cur.total = node.inbox_cur.spilled = 0;
-      node.inbox_next.total = node.inbox_next.spilled = 0;
-      if (node.inbox_cur.spill() != nullptr) {
-        HG_RETURN_IF_ERROR(node.inbox_cur.spill()->Clear());
+      if (seed == EpochSeed::kReinit) {
+        HG_RETURN_IF_ERROR(node.vstore->WriteInitValues(hooks.init_value));
+        SeedInitActive(hooks.init_active, &node);
+      } else {
+        const uint8_t all = seed == EpochSeed::kAll ? 1 : 0;
+        std::fill(node.active.begin(), node.active.end(), all);
       }
-      if (node.inbox_next.spill() != nullptr) {
-        HG_RETURN_IF_ERROR(node.inbox_next.spill()->Clear());
+      HG_RETURN_IF_ERROR(ResetEpochState(node));
+    }
+    if (seed == EpochSeed::kTouched) {
+      for (VertexId v : touched) {
+        NodeState& node = nodes_[partition_.NodeOf(v)];
+        node.active[node.LocalIdx(v)] = 1;
       }
-      for (uint32_t li = 0; li < node.range.size(); ++li) {
-        if (node.pending.Has(li)) node.pending.ConsumeAt(li);
-      }
-      node.pending.ResetCount();
-      std::fill(node.moc_acc.begin(), node.moc_acc.end(), 0);
-      std::fill(node.moc_has.begin(), node.moc_has.end(), 0);
-      std::fill(node.mirror_acc.begin(), node.mirror_acc.end(), 0);
-      std::fill(node.mirror_has.begin(), node.mirror_has.end(), 0);
-      for (auto& staged : node.push_staged) staged.clear();
-      std::fill(node.pull_advert_valid.begin(), node.pull_advert_valid.end(),
-                0);
     }
     return ChooseInitialMode();
   }
@@ -626,7 +423,6 @@ class SuperstepDriver {
   bool converged() const { return converged_; }
   int superstep() const { return superstep_; }
   EngineMode current_mode() const { return mode_; }
-  uint64_t total_fragments() const { return total_fragments_; }
   uint64_t b_lower_bound() const { return stats_.load.b_lower_bound; }
 
   /// The hot-vertex mirror registry, or null when mirroring is off (or the
@@ -664,17 +460,33 @@ class SuperstepDriver {
   TraceCollector* trace() { return &trace_; }
 
  private:
-  /// Initial mode (Algorithm 3 line 2, Theorem 2) from the current census;
-  /// the first superstep consumes in the mode it produces.
+  /// Initial mode (Algorithm 3 line 2, Theorem 2) from the nodes' current
+  /// frontier and stores; the first superstep consumes in the mode it
+  /// produces.
   Status ChooseInitialMode() {
-    InitialModeInputs in;
-    in.b_lower_bound = stats_.load.b_lower_bound;
-    in.initial_messages = initial_messages_;
-    in.initial_active_frac = initial_active_frac_;
-    in.total_fragments = total_fragments_;
-    HG_ASSIGN_OR_RETURN(mode_, DecideInitialMode(config_, nodes_, facts_, in));
+    HG_ASSIGN_OR_RETURN(mode_, DecideInitialMode(config_, nodes_, facts_,
+                                                 stats_.load.b_lower_bound));
     prev_produce_ = mode_;
     return Status::OK();
+  }
+
+  /// The program's initial values/activity and raw combine shims, for the
+  /// compiled topology build and a cold epoch restart.
+  BlockTopologyHooks TopologyHooks() {
+    BlockTopologyHooks hooks;
+    hooks.init_value = [this](VertexId v, uint8_t* out) {
+      const Value val = program_.InitValue(v, ctx_);
+      PodCodec<Value>::Encode(val, out);
+    };
+    hooks.init_active = [this](VertexId v) { return program_.InitActive(v); };
+    if constexpr (P::kCombinable) {
+      hooks.pending_combiner = &ProgramOps<P>::CombineRaw;
+      hooks.staging_combiner = &ProgramOps<P>::CombineRaw;
+      if (config_.io.spill_combining) {
+        hooks.spill_combiner = &ProgramOps<P>::CombineRaw;
+      }
+    }
+    return hooks;
   }
 
   CheckpointState MakeCheckpointState() {
@@ -726,12 +538,6 @@ class SuperstepDriver {
 
   MirrorTable mirror_table_;
   bool mirroring_ = false;
-
-  uint64_t total_edges_ = 0;
-  uint64_t total_fragments_ = 0;
-  uint64_t total_in_degree_ = 0;
-  uint64_t initial_messages_ = 0;  ///< sum out-degrees of InitActive vertices
-  double initial_active_frac_ = 0;  ///< |InitActive| / |V|
 
   JobStats stats_;
 

@@ -35,23 +35,29 @@ Result<std::unique_ptr<VertexValueStore>> VertexValueStore::Build(
     store->out_degrees_[v - range.begin] = out_degrees[v];
   }
 
-  std::vector<uint8_t> value(value_size);
-  for (uint32_t vb = partition.FirstVblockOf(node); vb < partition.LastVblockOf(node);
-       ++vb) {
-    const VertexRange r = partition.VblockRange(vb);
+  HG_RETURN_IF_ERROR(store->WriteInitValues(init));
+  return store;
+}
+
+Status VertexValueStore::WriteInitValues(
+    const std::function<void(VertexId, uint8_t*)>& init) {
+  std::vector<uint8_t> value(value_size_);
+  for (uint32_t vb = partition_->FirstVblockOf(node_);
+       vb < partition_->LastVblockOf(node_); ++vb) {
+    const VertexRange r = partition_->VblockRange(vb);
     Buffer buf;
     Encoder enc(&buf);
     for (VertexId v = r.begin; v < r.end; ++v) {
       init(v, value.data());
       enc.PutFixed32(v);
-      enc.PutFixed32(store->out_degrees_[v - range.begin]);
+      enc.PutFixed32(out_degrees_[v - node_range_.begin]);
       enc.PutRaw(value.data(), value.size());
     }
-    // Initial load is a bulk sequential write.
-    HG_RETURN_IF_ERROR(storage->Write(store->BlockKey(vb), buf.AsSlice(),
-                                      IoClass::kSeqWrite));
+    // A bulk sequential write of the whole block.
+    HG_RETURN_IF_ERROR(
+        storage_->Write(BlockKey(vb), buf.AsSlice(), IoClass::kSeqWrite));
   }
-  return store;
+  return Status::OK();
 }
 
 Status VertexValueStore::ReadBlock(uint32_t global_vb,

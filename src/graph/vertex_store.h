@@ -33,6 +33,10 @@ class VertexValueStore {
       size_t value_size, const std::vector<uint32_t>& out_degrees,
       const std::function<void(VertexId, uint8_t*)>& init);
 
+  /// Rewrites every Vblock of this node with init(v) values and the current
+  /// out-degrees — the load-time layout, and a cold epoch restart's.
+  Status WriteInitValues(const std::function<void(VertexId, uint8_t*)>& init);
+
   size_t value_size() const { return value_size_; }
   /// On-disk record: id (4) + out-degree (4) + value payload.
   size_t record_size() const { return 8 + value_size_; }

@@ -18,6 +18,9 @@ void ServeServer::RegisterHandlers(Transport* transport, NodeId node) {
       [this](NodeId, Slice payload, Buffer* response) {
         EdgeBatch batch;
         HG_RETURN_IF_ERROR(DecodeIngestRequest(payload, &batch));
+        // Reject before acknowledging: a queued bad batch would only fail
+        // later on the epoch thread, after the client was told it landed.
+        HG_RETURN_IF_ERROR(ValidateBatch(engine_->num_vertices(), batch));
         IngestResponse r;
         r.accepted = batch.deltas.size();
         r.queue_depth = SubmitBatch(std::move(batch));

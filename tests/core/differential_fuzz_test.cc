@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
 #include <string>
 
 #include "graph/generator.h"
@@ -19,9 +20,10 @@
 namespace hybridgraph {
 namespace {
 
-constexpr EngineMode kAllModes[] = {EngineMode::kPush, EngineMode::kPushM,
-                                    EngineMode::kVPull, EngineMode::kBPull,
-                                    EngineMode::kHybrid};
+constexpr EngineMode kAllModes[] = {
+    EngineMode::kPush,   EngineMode::kPushM,    EngineMode::kVPull,
+    EngineMode::kBPull,  EngineMode::kHybrid,   EngineMode::kAdaptive,
+    EngineMode::kGraphHp};
 constexpr AlgoKind kFuzzAlgos[] = {AlgoKind::kPageRank, AlgoKind::kSssp,
                                    AlgoKind::kWcc, AlgoKind::kLpa};
 
@@ -54,7 +56,7 @@ FuzzCase MakeCase(uint64_t case_seed) {
   c.config.pre_pull = rng.NextBool(0.5);
   c.config.bpull_combining = rng.NextBool(0.8);
   c.config.push_sender_combining = rng.NextBool(0.2);
-  c.config.mode = kAllModes[rng.NextBounded(5)];
+  c.config.mode = kAllModes[rng.NextBounded(std::size(kAllModes))];
   c.config.seed = rng.Next();
 
   c.spec.kind = kFuzzAlgos[rng.NextBounded(4)];
@@ -137,7 +139,7 @@ void CheckAgainstReference(const FuzzCase& c, const std::vector<double>& got) {
 
 TEST(DifferentialFuzz, SeededCasesMatchReferenceImplementations) {
   int executed = 0;
-  for (uint64_t case_seed = 9000; case_seed < 9170; ++case_seed) {
+  for (uint64_t case_seed = 9000; case_seed < 9240; ++case_seed) {
     const FuzzCase c = MakeCase(case_seed);
     if (IsInvalidCombo(c)) continue;
     SCOPED_TRACE(CaseLabel(case_seed, c));
@@ -147,20 +149,17 @@ TEST(DifferentialFuzz, SeededCasesMatchReferenceImplementations) {
     if (::testing::Test::HasFatalFailure()) return;
     ++executed;
   }
-  EXPECT_GE(executed, 150);  // the pushM+LPA skip must not hollow out the sweep
+  EXPECT_GE(executed, 220);  // the pushM+LPA skip must not hollow out the sweep
 }
 
 
 TEST(DifferentialFuzz, PageRankDeltaAggregatorHaltAcrossAllModes) {
-  // The aggregator-halting program across every mode, including adaptive and
-  // the GAS v-pull baseline. V-pull has no aggregator (supports_aggregator()
+  // The aggregator-halting program across every mode, including adaptive,
+  // graphhp and the GAS v-pull baseline. V-pull has no aggregator (supports_aggregator()
   // is false), so it never halts early and must match the no-halt reference
   // at the superstep cap; every block-centric mode must halt at the same
   // superstep as the halting reference. Fresh seed space: MakeCase's Rng
-  // consumption (seeds 9000..9170, 41000..41060) is load-bearing.
-  constexpr EngineMode kSixModes[] = {EngineMode::kPush,  EngineMode::kPushM,
-                                      EngineMode::kVPull, EngineMode::kBPull,
-                                      EngineMode::kHybrid, EngineMode::kAdaptive};
+  // consumption (seeds 9000..9240, 41000..41060) is load-bearing.
   int executed = 0;
   for (uint64_t case_seed = 9300; case_seed < 9330; ++case_seed) {
     Rng rng(case_seed);
@@ -185,7 +184,7 @@ TEST(DifferentialFuzz, PageRankDeltaAggregatorHaltAcrossAllModes) {
     const auto capped =
         ReferencePageRankDelta(graph, base.max_supersteps, 1e-4, false);
 
-    for (EngineMode mode : kSixModes) {
+    for (EngineMode mode : kAllModes) {
       JobConfig cfg = base;
       cfg.mode = mode;
       SCOPED_TRACE(StringFormat(

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <memory>
 #include <vector>
 
@@ -188,6 +189,72 @@ TEST(EpochDifferential, PageRankDeltaWarmEpochsAreCheaper) {
     // after a small batch takes fewer supersteps than the cold run.
     EXPECT_LT(m.supersteps, cold_supersteps);
   }
+}
+
+// ------------------------------------------------- pinned epoch starts
+
+/// What one hybrid epoch did, as pinned by HybridEpochStartsPinned.
+struct PinnedEpoch {
+  EngineMode first_mode;  ///< production mode of the epoch's first superstep
+  uint64_t supersteps;
+  double modeled_seconds;
+  uint64_t read_bytes;
+  uint64_t write_bytes;
+  uint64_t net_bytes;
+};
+
+void ExpectPinnedEpochs(const EpochAlgoSpec& spec, const EdgeListGraph& g,
+                        const std::vector<EdgeBatch>& stream,
+                        const std::vector<PinnedEpoch>& want) {
+  JobConfig cfg = Base(EngineMode::kHybrid);
+  cfg.max_supersteps = 400;
+  auto engine = MakeEpochEngine(cfg, spec).ValueOrDie();
+  ASSERT_TRUE(engine->Load(g).ok());
+  ASSERT_TRUE(engine->RunInitial().ok());
+  ASSERT_EQ(stream.size(), want.size());
+  for (size_t i = 0; i < stream.size(); ++i) {
+    SCOPED_TRACE(spec.name + " epoch " + std::to_string(i));
+    const size_t first = engine->stats().supersteps.size();
+    EpochMetrics m;
+    ASSERT_TRUE(engine->RunEpoch(stream[i], &m).ok());
+    ASSERT_GT(engine->stats().supersteps.size(), first);
+    const EngineMode mode = engine->stats().supersteps[first].mode;
+    EXPECT_EQ(mode, want[i].first_mode);
+    EXPECT_EQ(m.supersteps, want[i].supersteps);
+    EXPECT_EQ(m.modeled_seconds, want[i].modeled_seconds);
+    EXPECT_EQ(m.read_bytes, want[i].read_bytes);
+    EXPECT_EQ(m.write_bytes, want[i].write_bytes);
+    EXPECT_EQ(m.net_bytes, want[i].net_bytes);
+  }
+}
+
+TEST(EpochDifferential, HybridEpochStartsPinned) {
+  // The hybrid initial-mode decision at every epoch start (Theorem 2 over
+  // the epoch's frontier and the mutated stores) and what each epoch then
+  // costs, pinned for the three seeding paths: seed-all (PageRankDelta),
+  // touched endpoints (SSSP insert-only) and reinit (SSSP with deletes).
+  const EdgeListGraph g = TestGraph(400, 86);
+  EpochAlgoSpec pr;
+  pr.name = "pagerank-delta";
+  pr.tolerance = 1e-10;
+  ExpectPinnedEpochs(
+      pr, g, Stream(g, 3, 40, 0.25, 912),
+      {{EngineMode::kBPull, 55, 0.062885535928577277, 2487126, 381189, 178838},
+       {EngineMode::kBPull, 60, 0.069964660570178194, 2767914, 415370, 197694},
+       {EngineMode::kBPull, 59, 0.069849942610110183, 2764025, 408995,
+        198114}});
+  EpochAlgoSpec sssp;
+  sssp.name = "sssp";
+  ExpectPinnedEpochs(
+      sssp, g, Stream(g, 3, 40, 0.0, 913),
+      {{EngineMode::kBPull, 5, 0.00093347803697858573, 112471, 38384, 1384},
+       {EngineMode::kPush, 7, 0.00050542352440970367, 111045, 39576, 881},
+       {EngineMode::kBPull, 6, 0.00099390944955735083, 123477, 42828, 1656}});
+  ExpectPinnedEpochs(
+      sssp, g, Stream(g, 3, 40, 0.5, 914),
+      {{EngineMode::kPush, 13, 0.0040987056894792899, 314693, 84920, 7826},
+       {EngineMode::kPush, 13, 0.0040299396831403513, 312192, 82587, 7862},
+       {EngineMode::kPush, 13, 0.0040312010744004041, 316728, 82116, 7880}});
 }
 
 // -------------------------------------------------- thread-count invariance

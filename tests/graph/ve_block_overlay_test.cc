@@ -190,7 +190,7 @@ TEST(BoundaryInner, ClassificationMatchesBruteForceAtBuild) {
 
 TEST(BoundaryInner, ClassificationTracksOverlayDeltas) {
   // Two overlays (one per node) so cross-in deltas whose destinations live
-  // on the other node can be routed like SuperstepDriver::ApplyEdgeBatch
+  // on the other node can be routed like ApplyEdgeBatch (core/epoch_driver.h)
   // does — without the routing, remote destinations' classification would
   // go stale.
   Fixture f;

@@ -224,6 +224,32 @@ TEST(ServeServer, HandlersAnswerOverTransport) {
   server.Stop();
 }
 
+TEST(ServeServer, IngestWithOutOfRangeEndpointRejectedBeforeQueueing) {
+  ServeFixture f("sssp");
+  ServeServer server(f.engine.get(), {});
+  InProcTransport transport(2);
+  server.RegisterHandlers(&transport, 0);
+  ASSERT_TRUE(transport.Start().ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  EdgeBatch bad;
+  bad.deltas.push_back(
+      {0, static_cast<VertexId>(f.graph.num_vertices), 1.0f, false});
+  Buffer req;
+  std::vector<uint8_t> resp;
+  EncodeIngestRequest(bad, &req);
+  const Status st =
+      transport.Call(1, 0, RpcMethod::kServeIngest, req.AsSlice(), &resp);
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  // Nothing was queued, so the epoch thread never sees the batch and the
+  // server stays healthy.
+  EXPECT_EQ(server.Stats().batches_ingested, 0u);
+  EXPECT_TRUE(server.WaitIdle().ok());
+  EXPECT_EQ(server.epochs_committed(), 0u);
+  server.Stop();
+}
+
 TEST(ServeServer, MetricsFilesWritten) {
   ServeFixture f("sssp");
   ServeServer::Options opts;
