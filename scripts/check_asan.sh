@@ -15,10 +15,11 @@ export ASAN_OPTIONS="halt_on_error=1${ASAN_OPTIONS:+ $ASAN_OPTIONS}"
 "$BUILD_DIR"/tests/hg_util_tests --gtest_filter='FailPoint*:Codec*:Buffer*'
 "$BUILD_DIR"/tests/hg_net_tests
 "$BUILD_DIR"/tests/hg_core_tests \
-  --gtest_filter='FaultInjection*:DifferentialFuzz*:Recovery*:Checkpoint*:*MessagePath*:PullWireValidation*:HybridGolden*:TraceSpans*:*Pipeline*:*Adaptive*:Frontier*:SkewArmor*:EpochDifferential*:Ghp*'
-# The overlay decodes delta-run blobs (including torn-compaction leftovers)
-# and the serve protocol decodes wire payloads — both are corruption-fuzzed.
-"$BUILD_DIR"/tests/hg_graph_tests --gtest_filter='VeBlockOverlay*:EdgeStream*:BoundaryInner*'
+  --gtest_filter='FaultInjection*:DifferentialFuzz*:Recovery*:Checkpoint*:*MessagePath*:PullWireValidation*:PullResponseGolden*:HybridGolden*:TraceSpans*:*Pipeline*:*Adaptive*:Frontier*:SkewArmor*:EpochDifferential*:Ghp*'
+# The stores decode fragment blobs and the overlay decodes delta-run blobs
+# (including torn-compaction leftovers); the serve protocol decodes wire
+# payloads — all are corruption-fuzzed.
+"$BUILD_DIR"/tests/hg_graph_tests --gtest_filter='VeBlockStore*:VeBlockOverlay*:EdgeStream*:BoundaryInner*'
 "$BUILD_DIR"/tests/hg_serve_tests
 # The spill suite decodes deliberately truncated/bit-flipped run files and
 # streams merges through minimal buffers — the OOB-sensitive paths the

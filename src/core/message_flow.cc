@@ -131,20 +131,26 @@ Status CollectBPullMessages(NodeState& node, const RangePartition& partition,
   Buffer req;
   Encoder enc(&req);
   std::vector<uint8_t> response;
-  std::vector<GroupedBatchCodec::Group> groups;
-  const auto ingest = [&]() -> Status {
-    groups.clear();
-    HG_RETURN_IF_ERROR(
-        GroupedBatchCodec::Decode(Slice(response), policy.msg_size, &groups));
+  // Destination ids come off the wire: a group outside the requested
+  // target Vblocks (`requested(vb)`) is rejected before it indexes pending.
+  const auto ingest = [&](auto requested) -> Status {
     // BR memory accounting; pre-pull (combinable only) doubles BR.
     node.mem_highwater = std::max<uint64_t>(
         node.mem_highwater, response.size() * (policy.prepull_double ? 2 : 1));
-    for (const auto& g : groups) {
-      for (const auto& p : g.payloads) {
-        node.pending.Add(node.LocalIdx(g.dst), p.data());
-      }
-    }
-    return Status::OK();
+    return GroupedBatchCodec::ForEach(
+        Slice(response), policy.msg_size,
+        [&](uint32_t dst, const uint8_t* payloads, uint64_t n) -> Status {
+          if (!node.range.Contains(dst) ||
+              !requested(partition.VblockOf(dst))) {
+            return Status::InvalidArgument(
+                "pull response group for a vertex that was not requested");
+          }
+          for (uint64_t k = 0; k < n; ++k) {
+            node.pending.Add(node.LocalIdx(dst),
+                             payloads + k * policy.msg_size);
+          }
+          return Status::OK();
+        });
   };
 
   if (policy.dedup_requests) {
@@ -163,7 +169,8 @@ Status CollectBPullMessages(NodeState& node, const RangePartition& partition,
       ++node.pull_requests;
       HG_RETURN_IF_ERROR(transport.Call(node.id, y, RpcMethod::kPullRequest,
                                         req.AsSlice(), &response));
-      HG_RETURN_IF_ERROR(ingest());
+      HG_RETURN_IF_ERROR(
+          ingest([&](uint32_t vb) { return wanted(y, vb); }));
     }
     return Status::OK();
   }
@@ -176,7 +183,8 @@ Status CollectBPullMessages(NodeState& node, const RangePartition& partition,
       ++node.pull_requests;
       HG_RETURN_IF_ERROR(transport.Call(node.id, y, RpcMethod::kPullRequest,
                                         req.AsSlice(), &response));
-      HG_RETURN_IF_ERROR(ingest());
+      HG_RETURN_IF_ERROR(
+          ingest([vb](uint32_t dst_vb) { return dst_vb == vb; }));
     }
   }
   return Status::OK();

@@ -408,20 +408,21 @@ class VPullPath : public MessagePath<P> {
   }
 
   Status HandleGatherPartial(GasNode& node, Slice payload) {
-    std::vector<GroupedBatchCodec::Group> groups;
-    HG_RETURN_IF_ERROR(GroupedBatchCodec::Decode(payload, kMsgSize, &groups));
-    for (const auto& g : groups) {
-      auto& slot = node.pending[g.dst];
-      for (const auto& p : g.payloads) {
-        const Message m = PodCodec<Message>::Decode(p.data());
-        if (P::kCombinable && !slot.empty()) {
-          slot[0] = P::Combine(slot[0], m);
-        } else {
-          slot.push_back(m);
-        }
-      }
-    }
-    return Status::OK();
+    return GroupedBatchCodec::ForEach(
+        payload, kMsgSize,
+        [&](uint32_t dst, const uint8_t* payloads, uint64_t n) {
+          auto& slot = node.pending[dst];
+          for (uint64_t k = 0; k < n; ++k) {
+            const Message m =
+                PodCodec<Message>::Decode(payloads + k * kMsgSize);
+            if (P::kCombinable && !slot.empty()) {
+              slot[0] = P::Combine(slot[0], m);
+            } else {
+              slot.push_back(m);
+            }
+          }
+          return Status::OK();
+        });
   }
 
   Status HandleApplyBroadcast(GasNode& node, Slice payload) {
@@ -483,22 +484,18 @@ class VPullPath : public MessagePath<P> {
       }
     }
     // Ship partials to masters (the receiving handler only stages the bytes).
-    std::vector<uint8_t> tmp(kMsgSize);
+    GroupedBatchWriter groups;
     for (uint32_t y = 0; y < config.num_nodes; ++y) {
       if (partials[y].empty()) continue;
-      std::vector<GroupedBatchCodec::Group> groups;
-      groups.reserve(partials[y].size());
+      groups.Reset(kMsgSize);
       for (auto& [v, msgs] : partials[y]) {
-        GroupedBatchCodec::Group g;
-        g.dst = v;
+        const uint32_t g = groups.AddGroup(v);
         for (const Message& msg : msgs) {
-          PodCodec<Message>::Encode(msg, tmp.data());
-          g.payloads.push_back(tmp);
+          PodCodec<Message>::Encode(msg, groups.Append(g));
         }
-        groups.push_back(std::move(g));
       }
       Buffer payload;
-      GroupedBatchCodec::Encode(groups, kMsgSize, &payload);
+      groups.EncodeTo(&payload);
       node.mem_highwater =
           std::max<uint64_t>(node.mem_highwater, payload.size());
       HG_RETURN_IF_ERROR(driver_->transport().Post(

@@ -106,69 +106,36 @@ void VeBlockOverlay::ApplyCrossDelta(VertexId v, int64_t out_delta,
   }
 }
 
-Status VeBlockOverlay::WriteInnerSidecar(
-    uint32_t global_vb, const std::vector<Fragment>& merged) {
-  EblockIndex idx;
+Status VeBlockOverlay::WriteFragmentBlob(const std::string& key,
+                                         const std::vector<Fragment>& merged,
+                                         EblockIndex* idx) {
+  *idx = EblockIndex{};
   if (merged.empty()) {
-    if (storage_->Exists(InnerKey(global_vb))) {
-      HG_RETURN_IF_ERROR(storage_->Delete(InnerKey(global_vb)));
-    }
-  } else {
-    Buffer buf;
-    Encoder enc(&buf);
-    enc.PutVarint64(merged.size());
-    idx.aux_bytes += VarintLength(merged.size());
-    for (const auto& frag : merged) {
-      enc.PutFixed32(frag.src);
-      enc.PutVarint64(frag.edges.size());
-      idx.aux_bytes += 4 + VarintLength(frag.edges.size());
-      for (const auto& edge : frag.edges) {
-        enc.PutFixed32(edge.dst);
-        enc.PutFloat(edge.weight);
-      }
-      idx.edge_bytes += frag.edges.size() * kEdgeEncodedSize;
-      idx.num_edges += frag.edges.size();
-      ++idx.num_fragments;
-    }
-    HG_RETURN_IF_ERROR(storage_->Write(InnerKey(global_vb), buf.AsSlice(),
-                                       IoClass::kSeqWrite));
+    return storage_->Exists(key) ? storage_->Delete(key) : Status::OK();
   }
-  inner_index_[LocalVb(global_vb)] = idx;
-  metas_[LocalVb(global_vb)].inner_edges = idx.num_edges;
-  return Status::OK();
+  Buffer buf;
+  Encoder enc(&buf);
+  enc.PutVarint64(merged.size());
+  idx->aux_bytes += VarintLength(merged.size());
+  for (const auto& frag : merged) {
+    enc.PutFixed32(frag.src);
+    enc.PutVarint64(frag.edges.size());
+    idx->aux_bytes += 4 + VarintLength(frag.edges.size());
+    for (const auto& edge : frag.edges) {
+      enc.PutFixed32(edge.dst);
+      enc.PutFloat(edge.weight);
+    }
+    idx->edge_bytes += frag.edges.size() * kEdgeEncodedSize;
+    idx->num_edges += frag.edges.size();
+    ++idx->num_fragments;
+  }
+  return storage_->Write(key, buf.AsSlice(), IoClass::kSeqWrite);
 }
 
 Status VeBlockOverlay::ScanInner(uint32_t global_vb, ScanResult* out,
                                  ReadPipeline* pipeline) {
-  out->fragments.clear();
-  out->aux_bytes = 0;
-  out->edge_bytes = 0;
-  const EblockIndex& idx = inner_index_[LocalVb(global_vb)];
-  if (idx.num_fragments == 0) return Status::OK();
-  const std::string key = InnerKey(global_vb);
-  const ReadOptions opts{.io_class = IoClass::kSeqRead};
-  auto read = pipeline ? pipeline->Fetch(key, opts) : storage_->Read(key, opts);
-  if (!read.ok()) return read.status();
-  Decoder dec{Slice(read->data)};
-  uint64_t num_fragments = 0;
-  HG_RETURN_IF_ERROR(dec.GetVarint64(&num_fragments));
-  out->fragments.reserve(num_fragments);
-  for (uint64_t i = 0; i < num_fragments; ++i) {
-    Fragment frag;
-    uint64_t count = 0;
-    HG_RETURN_IF_ERROR(dec.GetFixed32(&frag.src));
-    HG_RETURN_IF_ERROR(dec.GetVarint64(&count));
-    frag.edges.resize(count);
-    for (uint64_t k = 0; k < count; ++k) {
-      HG_RETURN_IF_ERROR(dec.GetFixed32(&frag.edges[k].dst));
-      HG_RETURN_IF_ERROR(dec.GetFloat(&frag.edges[k].weight));
-    }
-    out->fragments.push_back(std::move(frag));
-  }
-  if (!dec.AtEnd()) return Status::Corruption("trailing bytes in inner sidecar");
-  out->aux_bytes = idx.aux_bytes;
-  out->edge_bytes = idx.edge_bytes;
-  return Status::OK();
+  return VeBlockStore::ScanFragmentBlob(storage_, pipeline, InnerKey(global_vb),
+                                        inner_index_[LocalVb(global_vb)], out);
 }
 
 const VeBlockOverlay::EblockIndex& VeBlockOverlay::BaseIndexOf(
@@ -176,36 +143,6 @@ const VeBlockOverlay::EblockIndex& VeBlockOverlay::BaseIndexOf(
   auto it = base_idx_.find({LocalVb(src_vb), dst_vb});
   if (it != base_idx_.end()) return it->second;
   return base_->Index(src_vb, dst_vb);
-}
-
-Status VeBlockOverlay::ReadBaseFragments(uint32_t src_vb, uint32_t dst_vb,
-                                         std::vector<Fragment>* out,
-                                         ReadPipeline* pipeline) {
-  out->clear();
-  const EblockIndex& bidx = BaseIndexOf(src_vb, dst_vb);
-  if (bidx.num_fragments == 0) return Status::OK();
-  const std::string key = BaseKey(src_vb, dst_vb);
-  const ReadOptions opts{.io_class = IoClass::kSeqRead};
-  auto read = pipeline ? pipeline->Fetch(key, opts) : storage_->Read(key, opts);
-  if (!read.ok()) return read.status();
-  Decoder dec{Slice(read->data)};
-  uint64_t num_fragments = 0;
-  HG_RETURN_IF_ERROR(dec.GetVarint64(&num_fragments));
-  out->reserve(num_fragments);
-  for (uint64_t i = 0; i < num_fragments; ++i) {
-    Fragment frag;
-    uint64_t count = 0;
-    HG_RETURN_IF_ERROR(dec.GetFixed32(&frag.src));
-    HG_RETURN_IF_ERROR(dec.GetVarint64(&count));
-    frag.edges.resize(count);
-    for (uint64_t k = 0; k < count; ++k) {
-      HG_RETURN_IF_ERROR(dec.GetFixed32(&frag.edges[k].dst));
-      HG_RETURN_IF_ERROR(dec.GetFloat(&frag.edges[k].weight));
-    }
-    out->push_back(std::move(frag));
-  }
-  if (!dec.AtEnd()) return Status::Corruption("trailing bytes in Eblock");
-  return Status::OK();
 }
 
 Status VeBlockOverlay::ReadRun(uint32_t src_vb, uint32_t dst_vb, uint64_t seq,
@@ -219,6 +156,9 @@ Status VeBlockOverlay::ReadRun(uint32_t src_vb, uint32_t dst_vb, uint64_t seq,
   Decoder dec{Slice(read->data)};
   uint64_t count = 0;
   HG_RETURN_IF_ERROR(dec.GetVarint64(&count));
+  if (count > dec.remaining() / (kRunAuxPerEntry + kRunEdgePerEntry)) {
+    return Status::Corruption("delta run count exceeds blob size");
+  }
   out->reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     EdgeDelta d;
@@ -273,7 +213,12 @@ void VeBlockOverlay::ApplyEntries(const std::vector<EdgeDelta>& entries,
 Status VeBlockOverlay::LoadMerged(uint32_t src_vb, uint32_t dst_vb,
                                   std::vector<Fragment>* out,
                                   ReadPipeline* pipeline) {
-  HG_RETURN_IF_ERROR(ReadBaseFragments(src_vb, dst_vb, out, pipeline));
+  // The cell's current base blob (post-compaction aware), then its runs.
+  ScanResult base;
+  HG_RETURN_IF_ERROR(VeBlockStore::ScanFragmentBlob(
+      storage_, pipeline, BaseKey(src_vb, dst_vb), BaseIndexOf(src_vb, dst_vb),
+      &base));
+  out->swap(base.fragments);
   auto it = cells_.find({LocalVb(src_vb), dst_vb});
   if (it == cells_.end()) return Status::OK();
   std::vector<EdgeDelta> entries;
@@ -319,17 +264,19 @@ void VeBlockOverlay::SetCellIndex(uint32_t src_vb, uint32_t dst_vb,
 
 Status VeBlockOverlay::ScanEblock(uint32_t src_vb, uint32_t dst_vb,
                                   ScanResult* out, ReadPipeline* pipeline) {
-  out->fragments.clear();
-  out->aux_bytes = 0;
-  out->edge_bytes = 0;
   auto it = cells_.find({LocalVb(src_vb), dst_vb});
   if (it == cells_.end()) {
     // Never-mutated cell: byte-for-byte the frozen-graph read path.
     return base_->ScanEblock(src_vb, dst_vb, out, pipeline);
   }
+  out->aux_bytes = 0;
+  out->edge_bytes = 0;
   const EblockIndex& idx = Index(src_vb, dst_vb);
   const EblockIndex& bidx = BaseIndexOf(src_vb, dst_vb);
-  if (bidx.num_fragments == 0 && it->second.runs.empty()) return Status::OK();
+  if (bidx.num_fragments == 0 && it->second.runs.empty()) {
+    out->fragments.clear();
+    return Status::OK();
+  }
   HG_RETURN_IF_ERROR(LoadMerged(src_vb, dst_vb, &out->fragments, pipeline));
   out->aux_bytes = idx.aux_bytes;
   out->edge_bytes = idx.edge_bytes;
@@ -436,7 +383,10 @@ Status VeBlockOverlay::ApplyBatch(const std::vector<EdgeDelta>& deltas,
         for (const auto& [v, dd] : cell_in) (*cross_in_delta)[v] += dd;
       }
     } else {
-      HG_RETURN_IF_ERROR(WriteInnerSidecar(dst_vb, merged));
+      EblockIndex inner;
+      HG_RETURN_IF_ERROR(WriteFragmentBlob(InnerKey(dst_vb), merged, &inner));
+      inner_index_[cell.first] = inner;
+      meta.inner_edges = inner.num_edges;
     }
   }
   return Status::OK();
@@ -454,30 +404,8 @@ Status VeBlockOverlay::Compact(uint32_t src_vb, uint32_t dst_vb) {
   // Fold into a fresh base blob under the base key: the StorageService
   // mutation observer invalidates any staged prefetch of the old bytes.
   EblockIndex folded_idx;
-  if (merged.empty()) {
-    if (storage_->Exists(BaseKey(src_vb, dst_vb))) {
-      HG_RETURN_IF_ERROR(storage_->Delete(BaseKey(src_vb, dst_vb)));
-    }
-  } else {
-    Buffer buf;
-    Encoder enc(&buf);
-    enc.PutVarint64(merged.size());
-    folded_idx.aux_bytes += VarintLength(merged.size());
-    for (const auto& frag : merged) {
-      enc.PutFixed32(frag.src);
-      enc.PutVarint64(frag.edges.size());
-      folded_idx.aux_bytes += 4 + VarintLength(frag.edges.size());
-      for (const auto& edge : frag.edges) {
-        enc.PutFixed32(edge.dst);
-        enc.PutFloat(edge.weight);
-      }
-      folded_idx.edge_bytes += frag.edges.size() * kEdgeEncodedSize;
-      folded_idx.num_edges += frag.edges.size();
-      ++folded_idx.num_fragments;
-    }
-    HG_RETURN_IF_ERROR(storage_->Write(BaseKey(src_vb, dst_vb), buf.AsSlice(),
-                                       IoClass::kSeqWrite));
-  }
+  HG_RETURN_IF_ERROR(
+      WriteFragmentBlob(BaseKey(src_vb, dst_vb), merged, &folded_idx));
   base_idx_[{LocalVb(src_vb), dst_vb}] = folded_idx;
 
   // Durable watermark before the run deletes: a crash past this point

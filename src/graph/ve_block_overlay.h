@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -99,9 +100,12 @@ class VeBlockOverlay {
   uint64_t TotalAuxBytes() const { return total_aux_bytes_; }
   uint64_t TotalBytes() const { return total_edge_bytes_ + total_aux_bytes_; }
 
-  /// Scans the inner-adjacency sidecar of a local Vblock (see
-  /// VeBlockStore::ScanInner). Diagonal-cell mutations rewrite the sidecar
-  /// compactly at ApplyBatch time, so this read never pays run overhead.
+  /// Scans the inner-adjacency sidecar of a local Vblock: a standalone copy
+  /// of the diagonal cell g_{j,j} (every intra-Vblock edge) under its own
+  /// key, so local sub-iterations never touch the Eblock grid. Same
+  /// encoding, metering (one kSeqRead) and byte split as ScanEblock.
+  /// Diagonal-cell mutations rewrite the sidecar compactly at ApplyBatch
+  /// time, so this read never pays run overhead.
   Status ScanInner(uint32_t global_vb, ScanResult* out,
                    ReadPipeline* pipeline = nullptr);
 
@@ -204,17 +208,15 @@ class VeBlockOverlay {
   /// Applies cross-edge count deltas to local vertex v, maintaining its
   /// Vblock's num_boundary across the boundary<->inner transition.
   void ApplyCrossDelta(VertexId v, int64_t out_delta, int64_t in_delta);
-  /// Rewrites the inner sidecar of a local Vblock from its freshly merged
-  /// diagonal-cell fragments (already in hand at ApplyBatch time).
-  Status WriteInnerSidecar(uint32_t global_vb,
-                           const std::vector<Fragment>& merged);
+  /// Writes `merged` as the fragment blob at `key` (deleting the key when
+  /// empty) and describes it in `*idx`.
+  Status WriteFragmentBlob(const std::string& key,
+                           const std::vector<Fragment>& merged,
+                           EblockIndex* idx);
 
   /// The index describing the cell's *current* base blob: the build-time one
   /// until the cell mutates, the compaction result afterwards.
   const EblockIndex& BaseIndexOf(uint32_t src_vb, uint32_t dst_vb) const;
-  /// Decodes the cell's current base blob (post-compaction aware).
-  Status ReadBaseFragments(uint32_t src_vb, uint32_t dst_vb,
-                           std::vector<Fragment>* out, ReadPipeline* pipeline);
   /// Decodes one delta run blob.
   Status ReadRun(uint32_t src_vb, uint32_t dst_vb, uint64_t seq,
                  std::vector<EdgeDelta>* out, ReadPipeline* pipeline);

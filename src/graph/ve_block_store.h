@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "graph/partition.h"
@@ -64,6 +65,17 @@ class VeBlockStore {
     }
   };
 
+  /// The one fragment-blob decoder (Eblocks, sidecars, compacted overlay
+  /// bases), reusing the capacity of `*out` and its edge vectors. Counts the
+  /// blob cannot hold, truncation and trailing bytes are Corruption.
+  static Status DecodeFragments(Slice blob, std::vector<Fragment>* out);
+
+  /// Reads (one metered kSeqRead, via `pipeline` when non-null) and decodes
+  /// the fragment blob at `key` described by `idx`; empty `idx`, no read.
+  static Status ScanFragmentBlob(StorageService* storage,
+                                 ReadPipeline* pipeline, const std::string& key,
+                                 const EblockIndex& idx, ScanResult* out);
+
   /// Builds Eblocks + metadata from this node's local edges.
   ///
   /// \param in_degrees in-degree per *global* vertex id (needed for X_j and
@@ -83,13 +95,6 @@ class VeBlockStore {
   /// Stages a background read of Eblock g_{src_vb, dst_vb} for a later
   /// ScanEblock. No-op on a null/disabled pipeline or an empty Eblock.
   void PrefetchEblock(uint32_t src_vb, uint32_t dst_vb, ReadPipeline* pipeline);
-
-  /// Scans the inner-adjacency sidecar of one local Vblock: a standalone
-  /// copy of the diagonal cell g_{j,j} (every intra-Vblock edge), persisted
-  /// under its own key so local sub-iterations never touch the Eblock grid.
-  /// Same encoding, metering (one kSeqRead) and byte split as ScanEblock.
-  Status ScanInner(uint32_t global_vb, ScanResult* out,
-                   ReadPipeline* pipeline = nullptr);
 
   /// Index of the inner sidecar blob (not part of the grid totals).
   const EblockIndex& InnerIndex(uint32_t global_vb) const {

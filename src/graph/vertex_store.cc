@@ -106,20 +106,27 @@ void VertexValueStore::PrefetchBlock(uint32_t global_vb, ReadPipeline* pipeline,
   pipeline->Schedule(BlockKey(global_vb), ReadOptions{.io_class = cls});
 }
 
-Status VertexValueStore::ReadValueRandom(VertexId v, std::vector<uint8_t>* value) {
-  const uint32_t vb = partition_->VblockOf(v);
-  if (partition_->NodeOfVblock(vb) != node_) {
-    return Status::InvalidArgument("vertex not local to this node");
+Status VertexValueStore::ReadRecordSpan(VertexId first, VertexId last,
+                                        uint64_t charged_reads,
+                                        std::vector<uint8_t>* records) {
+  if (first > last || !node_range_.Contains(first) ||
+      !node_range_.Contains(last) ||
+      partition_->VblockOf(first) != partition_->VblockOf(last)) {
+    return Status::InvalidArgument("record span not inside one local Vblock");
   }
-  const VertexRange r = partition_->VblockRange(vb);
+  const uint32_t vb = partition_->VblockOf(first);
+  const std::string key = BlockKey(vb);
   const uint64_t offset =
-      static_cast<uint64_t>(v - r.begin) * record_size();
+      static_cast<uint64_t>(first - partition_->VblockRange(vb).begin) *
+      record_size();
+  const uint64_t length = (uint64_t{last} - first + 1) * record_size();
   HG_ASSIGN_OR_RETURN(
-      ReadResult rec,
-      storage_->Read(BlockKey(vb), {.offset = offset,
-                                    .length = record_size(),
-                                    .io_class = IoClass::kRandRead}));
-  value->assign(rec.data.begin() + 8, rec.data.end());
+      ReadResult span,
+      storage_->Read(key, {.offset = offset, .length = length,
+                           .metering = false}));
+  storage_->ChargeReads(key, span.blob_size, record_size(), IoClass::kRandRead,
+                        charged_reads);
+  *records = std::move(span.data);
   return Status::OK();
 }
 

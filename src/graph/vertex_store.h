@@ -56,8 +56,12 @@ class VertexValueStore {
   Status WriteBlock(uint32_t global_vb, const std::vector<uint8_t>& values,
                     IoClass cls);
 
-  /// Random read of one vertex's record (the b-pull IO(V_rr) access).
-  Status ReadValueRandom(VertexId v, std::vector<uint8_t>* value);
+  /// b-pull's IO(V_rr) access for one Eblock: one unmetered ranged read of
+  /// the records of vertices [first, last] (one local Vblock) into
+  /// `*records`, record_size() bytes each, charged to the model as
+  /// `charged_reads` back-to-back random single-record reads.
+  Status ReadRecordSpan(VertexId first, VertexId last, uint64_t charged_reads,
+                        std::vector<uint8_t>* records);
 
   /// Out-degree lookup (kept in memory; streaming batches adjust it).
   uint32_t OutDegree(VertexId v) const {

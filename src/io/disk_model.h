@@ -82,13 +82,13 @@ struct DiskProfile {
 /// overhead regardless of cache residency.
 class DiskMeter {
  public:
-  void Record(IoClass c, uint64_t bytes) {
+  void Record(IoClass c, uint64_t bytes, uint64_t ops = 1) {
     bytes_[static_cast<int>(c)] += bytes;
-    ops_[static_cast<int>(c)] += 1;
+    ops_[static_cast<int>(c)] += ops;
   }
-  void RecordCached(IoClass c, uint64_t bytes) {
+  void RecordCached(IoClass c, uint64_t bytes, uint64_t ops = 1) {
     cached_bytes_[static_cast<int>(c)] += bytes;
-    ops_[static_cast<int>(c)] += 1;
+    ops_[static_cast<int>(c)] += ops;
   }
 
   /// Device bytes (cache misses + all writes).

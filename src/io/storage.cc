@@ -173,6 +173,20 @@ bool StorageService::FinishStagedRead(const std::string& key,
   return MeterRead(key, blob_size, bytes, cls);
 }
 
+void StorageService::ChargeReads(const std::string& key, uint64_t blob_size,
+                                 uint64_t bytes, IoClass cls, uint64_t n) {
+  if (n == 0) return;
+  std::lock_guard<std::recursive_mutex> lock(mutex_);
+  MeterRead(key, blob_size, bytes, cls);
+  // After the first read the blob is at the LRU front if it fits at all, so
+  // the other n-1 all hit (their splices are no-ops) or all miss.
+  if (page_cache_capacity_ != 0 && cache_map_.count(key) != 0) {
+    meter_.RecordCached(cls, bytes * (n - 1), n - 1);
+  } else {
+    meter_.Record(cls, bytes * (n - 1), n - 1);
+  }
+}
+
 bool StorageService::MeterRead(const std::string& key, uint64_t blob_size,
                                uint64_t bytes, IoClass cls) {
   if (CacheLookupOrInsert(key, blob_size)) {

@@ -156,6 +156,12 @@ class StorageService {
   bool FinishStagedRead(const std::string& key, uint64_t blob_size,
                         uint64_t bytes, IoClass cls);
 
+  /// Charges `n` back-to-back reads of `bytes` each from blob `key`, leaving
+  /// the meter and the page cache exactly as n FinishStagedRead calls would:
+  /// per-record reads served by one unmetered ranged read keep their charge.
+  void ChargeReads(const std::string& key, uint64_t blob_size, uint64_t bytes,
+                   IoClass cls, uint64_t n);
+
   /// Registers the single observer invoked (under the storage lock) with the
   /// key of every mutation — Write/Append/WriteRange and Delete. The prefetch
   /// pipeline uses it to drop staged reads that no longer match the blob.

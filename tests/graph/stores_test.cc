@@ -3,7 +3,13 @@
 // including the Theorem-1 property (fragments grow with the Vblock count).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <cstring>
+#include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "graph/adjacency_store.h"
 #include "graph/generator.h"
@@ -80,17 +86,36 @@ TEST(VertexValueStore, RandomReadMatchesBlockRead) {
                      std::memcpy(out, &val, sizeof(val));
                    })
                    .ValueOrDie();
-  const VertexRange nr = f.partition.NodeRange(f.node);
   const DiskMeter before = *f.storage.meter();
-  for (VertexId v = nr.begin; v < nr.end; v += 13) {
-    std::vector<uint8_t> value;
-    ASSERT_TRUE(store->ReadValueRandom(v, &value).ok());
-    uint32_t got;
-    std::memcpy(&got, value.data(), sizeof(got));
-    EXPECT_EQ(got, v * 7);
+  uint64_t charged = 0;
+  for (uint32_t vb = f.partition.FirstVblockOf(f.node);
+       vb < f.partition.LastVblockOf(f.node); ++vb) {
+    const VertexRange r = f.partition.VblockRange(vb);
+    for (VertexId first = r.begin; first < r.end; first += 13) {
+      const VertexId last = std::min<VertexId>(first + 5, r.end - 1);
+      std::vector<uint8_t> records;
+      ASSERT_TRUE(store->ReadRecordSpan(first, last, 2, &records).ok());
+      charged += 2;
+      ASSERT_EQ(records.size(), (last - first + 1) * store->record_size());
+      for (VertexId v = first; v <= last; ++v) {
+        uint32_t id, got;
+        const uint8_t* rec =
+            records.data() + (v - first) * store->record_size();
+        std::memcpy(&id, rec, sizeof(id));
+        std::memcpy(&got, rec + 8, sizeof(got));
+        EXPECT_EQ(id, v);
+        EXPECT_EQ(got, v * 7);
+      }
+    }
   }
+  // Each span is one unmetered read charged as the requested count of
+  // single-record random reads.
   const DiskMeter delta = f.storage.meter()->DeltaSince(before);
-  EXPECT_GT(delta.ops(IoClass::kRandRead), 0u);
+  EXPECT_EQ(delta.ops(IoClass::kRandRead), charged);
+  EXPECT_EQ(delta.bytes(IoClass::kRandRead) +
+                delta.cached_bytes(IoClass::kRandRead),
+            charged * store->record_size());
+  EXPECT_EQ(delta.ops(IoClass::kSeqRead), 0u);
 }
 
 TEST(VertexValueStore, OutDegreeLookup) {
@@ -115,9 +140,13 @@ TEST(VertexValueStore, NonLocalRandomReadFails) {
                                          std::memset(out, 0, 4);
                                        })
                    .ValueOrDie();
-  std::vector<uint8_t> value;
+  std::vector<uint8_t> records;
   const VertexId remote = f.partition.NodeRange(1).begin;
-  EXPECT_FALSE(store->ReadValueRandom(remote, &value).ok());
+  EXPECT_FALSE(store->ReadRecordSpan(remote, remote, 1, &records).ok());
+  // A span crossing into the node's second Vblock is rejected too.
+  const VertexRange r =
+      f.partition.VblockRange(f.partition.FirstVblockOf(f.node));
+  EXPECT_FALSE(store->ReadRecordSpan(r.begin, r.end, 1, &records).ok());
 }
 
 // --------------------------------------------------------------- AdjacencyStore
@@ -230,6 +259,123 @@ TEST(VeBlockStore, MetadataDegreesMatchGraph) {
                 store->Index(vb, dvb).num_fragments > 0);
     }
   }
+}
+
+TEST(VeBlockStore, BlobsMatchSortedReferenceEncoding) {
+  // The flat counting-sort build must write exactly the blobs of the sorted
+  // (dst Vblock, src) bucketing: fragments ascending by source, each
+  // source's edges in input order (duplicates and shuffled input included).
+  Fixture f;
+  std::vector<RawEdge> edges = f.local_edges;
+  std::reverse(edges.begin(), edges.end());
+  edges.push_back(edges.front());  // a duplicate edge keeps its position
+  MemStorage storage;
+  auto store = VeBlockStore::Build(&storage, f.partition, f.node, edges,
+                                   f.in_degrees)
+                   .ValueOrDie();
+  std::map<std::pair<uint32_t, uint32_t>,
+           std::map<VertexId, std::vector<RawEdge>>>
+      cells;
+  for (const RawEdge& e : edges) {
+    cells[{f.partition.VblockOf(e.src), f.partition.VblockOf(e.dst)}][e.src]
+        .push_back(e);
+  }
+  uint64_t fragments = 0;
+  for (const auto& [cell, by_src] : cells) {
+    Buffer want;
+    Encoder enc(&want);
+    enc.PutVarint64(by_src.size());
+    for (const auto& [src, list] : by_src) {
+      enc.PutFixed32(src);
+      enc.PutVarint64(list.size());
+      for (const RawEdge& e : list) {
+        enc.PutFixed32(e.dst);
+        enc.PutFloat(e.weight);
+      }
+    }
+    fragments += by_src.size();
+    char key[64];
+    std::snprintf(key, sizeof(key), "node%u/eblock/%06u/%06u", f.node,
+                  cell.first, cell.second);
+    auto got = storage.Read(key, {.metering = false});
+    ASSERT_TRUE(got.ok()) << key;
+    EXPECT_TRUE(Slice(got->data) == want.AsSlice()) << key;
+    if (cell.first == cell.second) {
+      std::snprintf(key, sizeof(key), "node%u/einner/%06u", f.node,
+                    cell.first);
+      auto inner = storage.Read(key, {.metering = false});
+      ASSERT_TRUE(inner.ok()) << key;
+      EXPECT_TRUE(Slice(inner->data) == want.AsSlice()) << key;
+    }
+  }
+  EXPECT_EQ(store->TotalFragments(), fragments);
+  EXPECT_EQ(storage.ListKeys("node0/eblock/").size(), cells.size());
+}
+
+TEST(VeBlockStoreCorruption, TruncatedAndBitFlippedBlobsAreCorruption) {
+  // Every strict prefix of a valid fragment blob is Corruption (never an
+  // allocation failure), and every single-bit flip either decodes or is
+  // Corruption. Decoding into a reused vector must equal a fresh decode.
+  Fixture f;
+  auto store = VeBlockStore::Build(&f.storage, f.partition, f.node,
+                                   f.local_edges, f.in_degrees)
+                   .ValueOrDie();
+  std::vector<VeBlockStore::Fragment> reused;
+  for (const std::string& key : f.storage.ListKeys("node0/eblock/")) {
+    auto read = f.storage.Read(key, {.metering = false});
+    ASSERT_TRUE(read.ok());
+    const std::vector<uint8_t>& blob = read->data;
+    std::vector<VeBlockStore::Fragment> fresh;
+    ASSERT_TRUE(VeBlockStore::DecodeFragments(Slice(blob), &fresh).ok());
+    ASSERT_TRUE(VeBlockStore::DecodeFragments(Slice(blob), &reused).ok());
+    ASSERT_EQ(reused.size(), fresh.size());
+    for (size_t i = 0; i < fresh.size(); ++i) {
+      EXPECT_EQ(reused[i].src, fresh[i].src);
+      ASSERT_EQ(reused[i].edges.size(), fresh[i].edges.size());
+    }
+    for (size_t cut = 0; cut < blob.size(); ++cut) {
+      std::vector<VeBlockStore::Fragment> out;
+      EXPECT_EQ(VeBlockStore::DecodeFragments(Slice(blob.data(), cut), &out)
+                    .code(),
+                StatusCode::kCorruption)
+          << key << " cut=" << cut;
+    }
+    for (size_t byte = 0; byte < std::min<size_t>(blob.size(), 48); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::vector<uint8_t> flipped = blob;
+        flipped[byte] ^= static_cast<uint8_t>(1u << bit);
+        const Status st =
+            VeBlockStore::DecodeFragments(Slice(flipped), &reused);
+        EXPECT_TRUE(st.ok() || st.code() == StatusCode::kCorruption)
+            << st.ToString();
+      }
+    }
+  }
+  // Oversized counts: fragments, then edges of one fragment.
+  for (const bool edge_count : {false, true}) {
+    Buffer buf;
+    Encoder enc(&buf);
+    if (edge_count) {
+      enc.PutVarint64(1);
+      enc.PutFixed32(3);
+    }
+    enc.PutVarint64(uint64_t{1} << 60);
+    enc.PutFixed32(0);
+    std::vector<VeBlockStore::Fragment> out;
+    EXPECT_EQ(VeBlockStore::DecodeFragments(buf.AsSlice(), &out).code(),
+              StatusCode::kCorruption);
+  }
+  // A corrupt stored Eblock surfaces through ScanEblock as Corruption.
+  const uint32_t vb = f.partition.FirstVblockOf(f.node);
+  uint32_t dvb = 0;
+  while (!store->HasEdges(vb, dvb)) ++dvb;
+  char key[64];
+  std::snprintf(key, sizeof(key), "node%u/eblock/%06u/%06u", f.node, vb, dvb);
+  const uint8_t junk[] = {0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 2};
+  ASSERT_TRUE(
+      f.storage.Write(key, Slice(junk, sizeof(junk)), IoClass::kSeqWrite).ok());
+  VeBlockStore::ScanResult scan;
+  EXPECT_EQ(store->ScanEblock(vb, dvb, &scan).code(), StatusCode::kCorruption);
 }
 
 // Theorem 1: the expected number of fragments grows with the Vblock count.

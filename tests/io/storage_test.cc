@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "util/thread_pool.h"
 
@@ -255,6 +256,111 @@ INSTANTIATE_TEST_SUITE_P(Backends, StorageTest,
                          [](const auto& info) {
                            return info.param == Backend::kMem ? "Mem" : "File";
                          });
+
+// ------------------------------------------------------------ ChargeReads
+
+// Two stores in identical states: one is charged n back-to-back metered
+// reads of `key`, the other one ChargeReads(n). Meters must match, and a
+// probe of every blob afterwards (which reveals LRU residency and order)
+// must see identical hits on both.
+class StorageChargeReads : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kSmall = 100;
+  static constexpr uint64_t kBig = 1000;
+  static constexpr uint64_t kRecord = 16;
+
+  static uint64_t SizeFor(const std::string& key) {
+    return key == "big" ? kBig : kSmall;
+  }
+
+  void Prepare(MemStorage* s, uint64_t capacity,
+               const std::vector<std::string>& warm) {
+    // Writes refresh the cache, so write everything with the cache off.
+    for (const char* key : {"a", "b", "c", "big"}) {
+      const std::string bytes(SizeFor(key), 'x');
+      ASSERT_TRUE(s->Write(key, Slice(bytes), IoClass::kSeqWrite).ok());
+    }
+    s->EnablePageCache(capacity);
+    for (const auto& key : warm) {
+      s->FinishStagedRead(key, SizeFor(key), kRecord, IoClass::kRandRead);
+    }
+  }
+
+  static void ExpectSameMeter(const DiskMeter& a, const DiskMeter& b) {
+    for (int c = 0; c < kNumIoClasses; ++c) {
+      const IoClass cls = static_cast<IoClass>(c);
+      EXPECT_EQ(a.bytes(cls), b.bytes(cls)) << IoClassName(cls);
+      EXPECT_EQ(a.cached_bytes(cls), b.cached_bytes(cls)) << IoClassName(cls);
+      EXPECT_EQ(a.ops(cls), b.ops(cls)) << IoClassName(cls);
+    }
+  }
+
+  /// Returns the probe hit flags (a, b, c, big) after the charge.
+  std::vector<bool> Check(uint64_t capacity,
+                          const std::vector<std::string>& warm,
+                          const std::string& key, uint64_t n) {
+    MemStorage reads, charged;
+    Prepare(&reads, capacity, warm);
+    Prepare(&charged, capacity, warm);
+    for (uint64_t i = 0; i < n; ++i) {
+      reads.FinishStagedRead(key, SizeFor(key), kRecord, IoClass::kRandRead);
+    }
+    charged.ChargeReads(key, SizeFor(key), kRecord, IoClass::kRandRead, n);
+    ExpectSameMeter(*reads.meter(), *charged.meter());
+    EXPECT_EQ(charged.meter()->ops(IoClass::kRandRead), warm.size() + n);
+    std::vector<bool> hits;
+    for (const char* probe : {"a", "b", "c", "big"}) {
+      const bool hit = reads.FinishStagedRead(probe, SizeFor(probe), kRecord,
+                                              IoClass::kRandRead);
+      EXPECT_EQ(hit, charged.FinishStagedRead(probe, SizeFor(probe), kRecord,
+                                              IoClass::kRandRead))
+          << probe;
+      hits.push_back(hit);
+    }
+    ExpectSameMeter(*reads.meter(), *charged.meter());
+    return hits;
+  }
+};
+
+TEST_F(StorageChargeReads, CacheOffChargesEveryReadAtDeviceCost) {
+  Check(0, {}, "a", 5);
+  MemStorage s;
+  Prepare(&s, 0, {});
+  s.ChargeReads("a", kSmall, kRecord, IoClass::kRandRead, 5);
+  EXPECT_EQ(s.meter()->bytes(IoClass::kRandRead), 5 * kRecord);
+  EXPECT_EQ(s.meter()->cached_bytes(IoClass::kRandRead), 0u);
+}
+
+TEST_F(StorageChargeReads, BlobLargerThanCapacityNeverCaches) {
+  const auto hits = Check(250, {"a"}, "big", 7);
+  EXPECT_FALSE(hits[3]);
+}
+
+TEST_F(StorageChargeReads, ColdKeyMissesOnceThenHits) {
+  Check(250, {}, "a", 6);
+  MemStorage s;
+  Prepare(&s, 250, {});
+  s.ChargeReads("a", kSmall, kRecord, IoClass::kRandRead, 6);
+  EXPECT_EQ(s.meter()->bytes(IoClass::kRandRead), kRecord);
+  EXPECT_EQ(s.meter()->cached_bytes(IoClass::kRandRead), 5 * kRecord);
+}
+
+TEST_F(StorageChargeReads, WarmKeyHitsEveryRead) {
+  const auto hits = Check(250, {"a", "b"}, "a", 4);
+  EXPECT_TRUE(hits[0]);
+}
+
+TEST_F(StorageChargeReads, TouchEvictsTheLeastRecentlyUsed) {
+  // a and b fill the cache; charging c evicts a (the LRU), not b.
+  const auto hits = Check(250, {"a", "b"}, "c", 3);
+  EXPECT_FALSE(hits[0]);
+}
+
+TEST_F(StorageChargeReads, ZeroAndOneReads) {
+  Check(250, {"a"}, "b", 0);
+  Check(250, {"a"}, "b", 1);
+  Check(0, {}, "b", 1);
+}
 
 }  // namespace
 }  // namespace hybridgraph
