@@ -8,6 +8,7 @@
 #include "io/storage.h"
 #include "net/message_codec.h"
 #include "util/codec.h"
+#include "util/record_slab.h"
 #include "util/rng.h"
 
 namespace hybridgraph {
@@ -47,14 +48,19 @@ BENCHMARK(BM_VarintDecode);
 
 void BM_FlatBatchRoundTrip(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  std::vector<std::pair<uint32_t, std::vector<uint8_t>>> msgs;
+  RecordSlab msgs(8);
   std::vector<uint8_t> payload(8, 0xAB);
-  for (int i = 0; i < n; ++i) msgs.emplace_back(i * 7, payload);
+  for (int i = 0; i < n; ++i) msgs.Append(i * 7, payload.data());
   for (auto _ : state) {
     Buffer buf;
-    FlatBatchCodec::Encode(msgs, 8, &buf);
-    std::vector<std::pair<uint32_t, std::vector<uint8_t>>> out;
-    benchmark::DoNotOptimize(FlatBatchCodec::Decode(buf.AsSlice(), 8, &out));
+    FlatBatchCodec::Encode(msgs, &buf);
+    uint64_t sum = 0;
+    benchmark::DoNotOptimize(FlatBatchCodec::ForEach(
+        buf.AsSlice(), 8, [&](uint32_t dst, const uint8_t* p) {
+          sum += dst + p[0];
+          return Status::OK();
+        }));
+    benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
@@ -83,16 +89,15 @@ void BM_SpillMerge(benchmark::State& state) {
     Rng rng(5);
     std::vector<uint8_t> payload(8, 1);
     for (int r = 0; r < runs; ++r) {
-      std::vector<SpillEntry> entries;
-      entries.reserve(per_run);
+      RecordSlab records(8);
       for (int i = 0; i < per_run; ++i) {
-        entries.push_back({static_cast<uint32_t>(rng.NextBounded(10000)),
-                           payload});
+        records.Append(static_cast<uint32_t>(rng.NextBounded(10000)),
+                       payload.data());
       }
-      (void)spill.SpillRun(std::move(entries));
+      (void)spill.SpillRun(records);
     }
     state.ResumeTiming();
-    std::vector<SpillEntry> out;
+    RecordSlab out(8);
     benchmark::DoNotOptimize(spill.MergeReadAll(&out));
   }
   state.SetItemsProcessed(state.iterations() * runs * per_run);

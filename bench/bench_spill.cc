@@ -11,6 +11,7 @@
 
 #include "io/message_spill.h"
 #include "io/storage.h"
+#include "util/record_slab.h"
 #include "util/rng.h"
 
 using namespace hybridgraph;
@@ -27,15 +28,14 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-std::vector<SpillEntry> MakeRun(Rng* rng) {
-  std::vector<SpillEntry> run;
-  run.reserve(kEntriesPerRun);
+RecordSlab MakeRun(Rng* rng) {
+  RecordSlab run(kPayload);
   for (size_t i = 0; i < kEntriesPerRun; ++i) {
-    SpillEntry e;
-    e.dst = static_cast<uint32_t>(rng->NextBounded(100000));
-    e.payload.resize(kPayload);
-    for (auto& b : e.payload) b = static_cast<uint8_t>(rng->NextBounded(256));
-    run.push_back(std::move(e));
+    const auto dst = static_cast<uint32_t>(rng->NextBounded(100000));
+    uint8_t* payload = run.Append(dst);
+    for (size_t b = 0; b < kPayload; ++b) {
+      payload[b] = static_cast<uint8_t>(rng->NextBounded(256));
+    }
   }
   return run;
 }
@@ -114,9 +114,9 @@ int main(int argc, char** argv) {
   }
 
   const auto mat_t0 = std::chrono::steady_clock::now();
-  std::vector<SpillEntry> all;
+  RecordSlab all(kPayload);
   Status st = spill.MergeReadAll(&all);
-  if (!st.ok() || all.size() != total) {
+  if (!st.ok() || all.count() != total) {
     std::fprintf(stderr, "materializing merge failed\n");
     return 1;
   }

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "core/hybrid_switch.h"
-#include "core/job_config.h"
+#include "core/message_flow.h"
 #include "core/node_state.h"
 #include "util/buffer.h"
 #include "util/status.h"
@@ -31,17 +31,17 @@ struct CheckpointState {
 
 Status WriteEngineCheckpoint(std::vector<NodeState>& nodes,
                              const RangePartition& partition,
-                             const CheckpointState& state, size_t msg_size,
-                             Buffer* out);
+                             const CheckpointState& state, Buffer* out);
 
-/// Restores a v2 image. On success *supersteps_run is set to the restored
-/// superstep; on failure the driver state may be partially mutated, so the
-/// checksum must reject a torn image before any mutation (recovery_test
-/// relies on that).
+/// Restores a v2 image. Each node's inbox records re-enter inbox_cur through
+/// AdmitPushRecords under `policy`. On success *supersteps_run is set to the
+/// restored superstep; on failure the driver state may be partially
+/// mutated, so the checksum must reject a torn image before any mutation
+/// (recovery_test relies on that).
 Status RestoreEngineCheckpoint(std::vector<NodeState>& nodes,
                                const RangePartition& partition,
-                               const JobConfig& config,
-                               const CheckpointState& state, size_t msg_size,
-                               Slice data, int* supersteps_run);
+                               const PushPolicy& policy,
+                               const CheckpointState& state, Slice data,
+                               int* supersteps_run);
 
 }  // namespace hybridgraph

@@ -224,8 +224,8 @@ Status BuildBlockTopology(const EdgeListGraph& graph, const JobConfig& config,
       spill_a->set_combiner(hooks.spill_combiner);
       spill_b->set_combiner(hooks.spill_combiner);
     }
-    node.inbox_cur.Init(msg_size, std::move(spill_a));
-    node.inbox_next.Init(msg_size, std::move(spill_b));
+    node.inbox_cur = {RecordSlab(msg_size), std::move(spill_a)};
+    node.inbox_next = {RecordSlab(msg_size), std::move(spill_b)};
   }
 
   // Load metrics + Theorem 2 bound.

@@ -5,32 +5,6 @@
 
 namespace hybridgraph {
 
-void MessageInbox::Init(size_t msg_size, std::unique_ptr<MessageSpill> spill) {
-  msg_size_ = msg_size;
-  spill_ = std::move(spill);
-}
-
-void MessageInbox::Append(VertexId dst, const uint8_t* payload) {
-  dsts_.push_back(dst);
-  payloads_.insert(payloads_.end(), payload, payload + msg_size_);
-}
-
-void MessageInbox::ClearMem() {
-  dsts_.clear();
-  payloads_.clear();
-  total = 0;
-  spilled = 0;
-}
-
-void MessageInbox::Swap(MessageInbox& other) {
-  std::swap(msg_size_, other.msg_size_);
-  dsts_.swap(other.dsts_);
-  payloads_.swap(other.payloads_);
-  spill_.swap(other.spill_);
-  std::swap(total, other.total);
-  std::swap(spilled, other.spilled);
-}
-
 void PendingSet::Init(uint32_t num_vertices, size_t msg_size,
                       CombineRawFn combiner) {
   msg_size_ = msg_size;

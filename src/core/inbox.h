@@ -12,40 +12,29 @@
 
 #include "graph/types.h"
 #include "io/message_spill.h"
+#include "util/record_slab.h"
 
 namespace hybridgraph {
 
-/// One direction of the double-buffered inbox: an in-memory array of
-/// (destination, payload) records plus the spill the overflow goes to.
-/// Capacity policy (B_i, pushM online computing) stays in the MessagePath;
-/// this is storage plus counters only.
-class MessageInbox {
- public:
-  /// Must be called before any Append; `spill` may be null in unit tests.
-  void Init(size_t msg_size, std::unique_ptr<MessageSpill> spill);
-
-  void Append(VertexId dst, const uint8_t* payload);
-  size_t count() const { return dsts_.size(); }
-  VertexId dst(size_t i) const { return dsts_[i]; }
-  const uint8_t* payload(size_t i) const { return payloads_.data() + i * msg_size_; }
-
-  MessageSpill* spill() const { return spill_.get(); }
-
-  /// Clears the memory portion and the counters (not the spill).
-  void ClearMem();
-
-  void Swap(MessageInbox& other);
-
+/// One direction of the double-buffered inbox: the in-memory records plus
+/// the spill the overflow goes to. Capacity policy (B_i, pushM online
+/// computing) lives in AdmitPushRecords; this is storage plus counters only.
+struct MessageInbox {
+  /// The memory portion (at most B_i records).
+  RecordSlab mem;
+  /// Where the overflow goes; null only in unit tests.
+  std::unique_ptr<MessageSpill> spill;
   /// Messages received into this inbox (memory + spilled).
   uint64_t total = 0;
   /// Messages that overflowed B_i and went to the spill.
   uint64_t spilled = 0;
 
- private:
-  size_t msg_size_ = 0;
-  std::vector<VertexId> dsts_;
-  std::vector<uint8_t> payloads_;
-  std::unique_ptr<MessageSpill> spill_;
+  /// Clears the memory portion and the counters (not the spill).
+  void ClearMem() {
+    mem.Clear();
+    total = 0;
+    spilled = 0;
+  }
 };
 
 /// The per-local-vertex message groups Phase A (load()) assembles for Phase

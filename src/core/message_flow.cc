@@ -7,53 +7,72 @@
 
 #include "io/message_spill.h"
 #include "net/message_codec.h"
+#include "util/string_util.h"
 
 namespace hybridgraph {
 
-Status ApplyPushBatch(NodeState& node, Slice payload,
-                      const PushApplyPolicy& policy) {
-  std::vector<std::pair<uint32_t, std::vector<uint8_t>>> msgs;
-  HG_RETURN_IF_ERROR(FlatBatchCodec::Decode(payload, policy.msg_size, &msgs));
+PushPolicy PushPolicy::For(const JobConfig& config, size_t msg_size,
+                           SendStaging::CombineRawFn combiner) {
+  return {.msg_size = msg_size,
+          .buffer_cap =
+              config.memory_resident ? UINT64_MAX : config.msg_buffer_per_node,
+          .online_compute = config.mode == EngineMode::kPushM,
+          .combiner = combiner,
+          .spill_merge_buffer_bytes = config.io.spill_merge_buffer_bytes,
+          .per_spilled_message_s = config.cpu.per_spilled_message_s};
+}
 
-  std::vector<SpillEntry> overflow;
-  for (auto& [dst, bytes] : msgs) {
+Status AdmitPushRecords(NodeState& node, MessageInbox& inbox, Slice records,
+                        const PushPolicy& policy) {
+  const size_t record_size = 4 + policy.msg_size;
+  HG_DCHECK(records.size() % record_size == 0);
+  RecordSlab overflow(policy.msg_size);
+  for (size_t at = 0; at < records.size(); at += record_size) {
+    const uint8_t* record = records.data() + at;
+    const VertexId dst = DecodeFixed<uint32_t>(record);
+    if (!node.range.Contains(dst)) {
+      return Status::InvalidArgument(StringFormat(
+          "push message for vertex %u outside node %u's range", dst, node.id));
+    }
     const uint32_t li = node.LocalIdx(dst);
-    ++node.inbox_next.total;
+    ++inbox.total;
     if (policy.online_compute) {
       // MOCgraph online computing: messages for memory-resident vertices are
       // folded into the accumulator immediately and never stored.
       if (node.moc_cached[li]) {
-        if (policy.combinable) {
+        if (policy.combiner != nullptr) {
           uint8_t* acc =
               node.moc_acc.data() + static_cast<size_t>(li) * policy.msg_size;
           if (node.moc_has[li]) {
-            policy.combiner(acc, bytes.data());
+            policy.combiner(acc, record + 4);
           } else {
-            std::memcpy(acc, bytes.data(), policy.msg_size);
+            std::memcpy(acc, record + 4, policy.msg_size);
           }
         }
         node.moc_has[li] = 1;
         continue;
       }
-      overflow.push_back(SpillEntry{dst, std::move(bytes)});
-      ++node.inbox_next.spilled;
+    } else if (inbox.mem.count() < policy.buffer_cap) {
+      inbox.mem.AppendRecords(record, 1);
       continue;
     }
-    if (policy.unlimited || node.inbox_next.count() < policy.buffer_cap) {
-      node.inbox_next.Append(dst, bytes.data());
-    } else {
-      overflow.push_back(SpillEntry{dst, std::move(bytes)});
-      ++node.inbox_next.spilled;
-    }
+    overflow.AppendRecords(record, 1);
+    ++inbox.spilled;
   }
-  if (!overflow.empty()) {
-    HG_RETURN_IF_ERROR(node.inbox_next.spill()->SpillRun(std::move(overflow)));
-  }
-  return Status::OK();
+  if (overflow.empty()) return Status::OK();
+  return inbox.spill->SpillRun(overflow);
+}
+
+Status ApplyPushBatch(NodeState& node, Slice payload,
+                      const PushPolicy& policy) {
+  Slice records;
+  HG_RETURN_IF_ERROR(
+      FlatBatchCodec::Records(payload, policy.msg_size, &records));
+  return AdmitPushRecords(node, node.inbox_next, records, policy);
 }
 
 Status DrainStagedPushBatches(NodeState& node, uint32_t num_nodes,
-                              const PushApplyPolicy& policy) {
+                              const PushPolicy& policy) {
   for (uint32_t src = 0; src < num_nodes; ++src) {
     for (const auto& payload : node.push_staged[src]) {
       HG_RETURN_IF_ERROR(ApplyPushBatch(
@@ -64,26 +83,26 @@ Status DrainStagedPushBatches(NodeState& node, uint32_t num_nodes,
   return Status::OK();
 }
 
-Status CollectPushMessages(NodeState& node, const PushCollectPolicy& policy) {
+Status CollectPushMessages(NodeState& node, const PushPolicy& policy) {
   // Merge the in-memory inbox with the spilled runs, grouped per vertex.
   MessageInbox& inbox = node.inbox_cur;
-  for (size_t i = 0; i < inbox.count(); ++i) {
-    node.pending.Add(node.LocalIdx(inbox.dst(i)), inbox.payload(i));
+  const RecordSlab& mem = inbox.mem;
+  for (size_t i = 0; i < mem.count(); ++i) {
+    node.pending.Add(node.LocalIdx(mem.dst(i)), mem.payload(i));
   }
-  if (inbox.spill()->num_runs() > 0) {
+  if (inbox.spill->num_runs() > 0) {
     // Streaming k-way merge: never materializes the spilled volume. The
     // drain's working set is the pending map plus num_runs ×
     // spill_merge_buffer_bytes of run buffers. The node's ReadPipeline (when
     // on) double-buffers each run's next chunk behind the consume loop.
-    HG_ASSIGN_OR_RETURN(auto it, inbox.spill()->NewMergeIterator(
+    HG_ASSIGN_OR_RETURN(auto it, inbox.spill->NewMergeIterator(
                                      policy.spill_merge_buffer_bytes,
                                      node.pipeline.get()));
     while (it->Valid()) {
-      const SpillEntry& e = it->entry();
-      node.pending.Add(node.LocalIdx(e.dst), e.payload.data());
+      node.pending.Add(node.LocalIdx(it->dst()), it->payload());
       HG_RETURN_IF_ERROR(it->Next());
     }
-    node.io.msg_spill_read += it->entries_read() * policy.msg_record_size;
+    node.io.msg_spill_read += it->entries_read() * (4 + policy.msg_size);
     node.cpu_seconds += policy.per_spilled_message_s *
                         static_cast<double>(it->entries_read());
     node.spill_buffer_peak =
@@ -91,16 +110,16 @@ Status CollectPushMessages(NodeState& node, const PushCollectPolicy& policy) {
     node.spill_resident_peak =
         std::max(node.spill_resident_peak, it->peak_resident_entries());
     node.spill_combined +=
-        inbox.spill()->combined_at_spill() + it->merge_combined();
+        inbox.spill->combined_at_spill() + it->merge_combined();
     node.mem_highwater = std::max(node.mem_highwater, it->buffer_bytes());
-    HG_RETURN_IF_ERROR(inbox.spill()->Clear());
+    HG_RETURN_IF_ERROR(inbox.spill->Clear());
   }
   // pushM: online accumulators are this superstep's messages for cached
   // vertices.
   if (policy.online_compute) {
     for (uint32_t li = 0; li < node.moc_has.size(); ++li) {
       if (node.moc_has[li]) {
-        if (policy.combinable) {
+        if (policy.combiner != nullptr) {
           node.pending.Add(
               li, node.moc_acc.data() + static_cast<size_t>(li) * policy.msg_size);
         }
@@ -195,19 +214,19 @@ Status DecodePullRequestTargets(Slice payload,
   targets->clear();
   Decoder dec(payload);
   if (payload.size() == 4) {
-    uint32_t vb;
+    uint32_t vb = 0;
     HG_RETURN_IF_ERROR(dec.GetFixed32(&vb));
     targets->push_back(vb);
     return Status::OK();
   }
-  uint32_t count;
+  uint32_t count = 0;
   HG_RETURN_IF_ERROR(dec.GetFixed32(&count));
   if (payload.size() != 4 + static_cast<size_t>(count) * 4) {
     return Status::Corruption("pull request target count mismatch");
   }
   targets->reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
-    uint32_t vb;
+    uint32_t vb = 0;
     HG_RETURN_IF_ERROR(dec.GetFixed32(&vb));
     targets->push_back(vb);
   }
@@ -215,16 +234,16 @@ Status DecodePullRequestTargets(Slice payload,
 }
 
 Status FlushStagedMessages(NodeState& node, Transport& transport, NodeId dst,
-                           bool force, uint64_t sending_threshold_bytes,
-                           size_t msg_record_size) {
-  const size_t staged = node.staging.count(dst);
-  const uint64_t bytes = staged * msg_record_size;
-  if (staged == 0) return Status::OK();
-  if (!force && bytes < sending_threshold_bytes) return Status::OK();
+                           bool force, uint64_t sending_threshold_bytes) {
+  const RecordSlab& staged = node.staging.records(dst);
+  if (staged.empty()) return Status::OK();
+  if (!force && staged.bytes().size() < sending_threshold_bytes) {
+    return Status::OK();
+  }
 
   Buffer payload;
-  node.staging.EncodeBatch(dst, &payload);
-  node.msgs_wire += staged;
+  FlatBatchCodec::Encode(staged, &payload);
+  node.msgs_wire += staged.count();
   node.staging.Clear(dst);
   ++node.flushes;
   return transport.Post(node.id, dst, RpcMethod::kPushMessages,

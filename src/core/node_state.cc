@@ -28,11 +28,11 @@ Status ResetEpochState(NodeState& node) {
   std::fill(node.vblock_res_next.begin(), node.vblock_res_next.end(), 0);
   node.inbox_cur.ClearMem();
   node.inbox_next.ClearMem();
-  if (node.inbox_cur.spill() != nullptr) {
-    HG_RETURN_IF_ERROR(node.inbox_cur.spill()->Clear());
+  if (node.inbox_cur.spill != nullptr) {
+    HG_RETURN_IF_ERROR(node.inbox_cur.spill->Clear());
   }
-  if (node.inbox_next.spill() != nullptr) {
-    HG_RETURN_IF_ERROR(node.inbox_next.spill()->Clear());
+  if (node.inbox_next.spill != nullptr) {
+    HG_RETURN_IF_ERROR(node.inbox_next.spill->Clear());
   }
   for (uint32_t li = 0; li < node.range.size(); ++li) {
     if (node.pending.Has(li)) node.pending.ConsumeAt(li);

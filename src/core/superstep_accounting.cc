@@ -1,6 +1,7 @@
 #include "core/superstep_accounting.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace hybridgraph {
 
@@ -182,7 +183,7 @@ void PromoteBlockState(std::vector<NodeState>& nodes, uint64_t* responding_total
   for (auto& node : nodes) {
     node.responding.swap(node.responding_next);
     node.vblock_res.swap(node.vblock_res_next);
-    node.inbox_cur.Swap(node.inbox_next);
+    std::swap(node.inbox_cur, node.inbox_next);
     for (uint8_t r : node.responding) *responding_total += r;
     *inflight_messages += node.inbox_cur.total;
   }

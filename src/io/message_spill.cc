@@ -1,6 +1,7 @@
 #include "io/message_spill.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/failpoint.h"
 #include "util/logging.h"
@@ -11,14 +12,6 @@ namespace hybridgraph {
 namespace {
 
 constexpr size_t kRunHeaderBytes = 8;  // fixed64 entry count
-
-/// Decodes the little-endian destination id at the head of a record. The
-/// caller guarantees at least 4 readable bytes (chunks are record-aligned).
-uint32_t LoadDstLE(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-}
 
 }  // namespace
 
@@ -32,36 +25,36 @@ std::string MessageSpill::RunKey(size_t i) const {
   return StringFormat("%s/run-%06zu", key_prefix_.c_str(), i);
 }
 
-Status MessageSpill::SpillRun(std::vector<SpillEntry> entries) {
-  if (entries.empty()) return Status::OK();
+Status MessageSpill::SpillRun(const RecordSlab& records) {
+  if (records.empty()) return Status::OK();
   HG_FAIL_POINT("spill.flush");
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const SpillEntry& a, const SpillEntry& b) { return a.dst < b.dst; });
-  uint64_t combined = 0;
-  if (combiner_ != nullptr) {
-    // Fold equal destinations into the first occurrence, in spill order
-    // (the vector is stably sorted, so the fold order is deterministic).
-    size_t w = 0;
-    for (size_t r = 1; r < entries.size(); ++r) {
-      if (entries[r].dst == entries[w].dst) {
-        combiner_(entries[w].payload.data(), entries[r].payload.data());
-        ++combined;
-      } else {
-        ++w;
-        if (w != r) entries[w] = std::move(entries[r]);
-      }
-    }
-    entries.resize(w + 1);
+  HG_DCHECK(records.payload_size() == payload_size_)
+      << "payload size mismatch: " << records.payload_size() << " vs "
+      << payload_size_;
+  // Sorting (dst, slab position) keys is a stable sort by destination.
+  HG_CHECK(records.count() <= UINT32_MAX) << "spill run too large";
+  std::vector<uint64_t> keys(records.count());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = (static_cast<uint64_t>(records.dst(i)) << 32) | i;
   }
+  std::sort(keys.begin(), keys.end());
   Buffer buf;
-  Encoder enc(&buf);
-  enc.PutFixed64(entries.size());
-  for (const auto& e : entries) {
-    HG_DCHECK(e.payload.size() == payload_size_)
-        << "payload size mismatch: " << e.payload.size() << " vs " << payload_size_;
-    enc.PutFixed32(e.dst);
-    enc.PutRaw(e.payload.data(), e.payload.size());
+  buf.Reserve(kRunHeaderBytes + records.bytes().size());
+  buf.bytes().resize(kRunHeaderBytes);  // fixed64 entry count, stored below
+  uint64_t combined = 0;
+  for (size_t k = 0; k < keys.size(); ++k) {
+    const uint8_t* r = records.record(static_cast<uint32_t>(keys[k]));
+    const bool same_dst = k > 0 && (keys[k] >> 32) == (keys[k - 1] >> 32);
+    if (combiner_ != nullptr && same_dst) {
+      // Fold into the first occurrence, in slab order.
+      combiner_(buf.data() + buf.size() - payload_size_, r + 4);
+      ++combined;
+    } else {
+      buf.Append(r, records.record_size());
+    }
   }
+  const uint64_t entries = keys.size() - combined;
+  EncodeFixed(buf.data(), entries);
   // Write-then-register: the run only becomes visible (num_runs_) after the
   // blob is durably written. On any failure in between, delete the key so a
   // half-written run is never leaked (Clear() would not know about it).
@@ -74,7 +67,7 @@ Status MessageSpill::SpillRun(std::vector<SpillEntry> entries) {
     return st;
   }
   ++num_runs_;
-  num_messages_ += entries.size();
+  num_messages_ += entries;
   bytes_written_ += buf.size();
   combined_at_spill_ += combined;
   return Status::OK();
@@ -90,7 +83,8 @@ MessageSpill::MergeIterator::MergeIterator(StorageService* storage,
       pipeline_(pipeline),
       payload_size_(spill->payload_size_),
       record_size_(4 + spill->payload_size_),
-      combiner_(spill->combiner_) {
+      combiner_(spill->combiner_),
+      current_payload_(spill->payload_size_) {
   // At least one whole record per run, and chunks aligned to record size so
   // a refill never splits a record across reads.
   const uint64_t per_chunk =
@@ -161,7 +155,7 @@ Status MessageSpill::MergeIterator::Refill(RunCursor* rc) {
   const uint64_t loaded = want / record_size_;
   rc->disk_entries -= loaded;
   rc->buf_pos = 0;
-  rc->head_dst = LoadDstLE(rc->buf.data());
+  rc->head_dst = DecodeFixed<uint32_t>(rc->buf.data());
   rc->has_head = true;
   resident_entries_ += loaded;
   peak_resident_entries_ = std::max(peak_resident_entries_, resident_entries_ + 1);
@@ -195,7 +189,7 @@ Status MessageSpill::MergeIterator::ConsumeHead(size_t ri) {
     }
     HG_RETURN_IF_ERROR(Refill(&rc));
   } else {
-    rc.head_dst = LoadDstLE(rc.buf.data() + rc.buf_pos);
+    rc.head_dst = DecodeFixed<uint32_t>(rc.buf.data() + rc.buf_pos);
   }
   heap_.emplace(rc.head_dst, ri);
   return Status::OK();
@@ -209,19 +203,19 @@ Status MessageSpill::MergeIterator::PrimeNext() {
   const auto [dst, ri] = heap_.top();
   heap_.pop();
   RunCursor& rc = runs_[ri];
-  current_.dst = dst;
-  current_.payload.assign(rc.buf.data() + rc.buf_pos + 4,
-                          rc.buf.data() + rc.buf_pos + record_size_);
+  current_dst_ = dst;
+  std::memcpy(current_payload_.data(), rc.buf.data() + rc.buf_pos + 4,
+              payload_size_);
   HG_RETURN_IF_ERROR(ConsumeHead(ri));
   if (combiner_ != nullptr) {
     // Fold every remaining entry for this destination into the current one.
     // The heap always surfaces the minimal (dst, run) pair, so the fold
     // order — run by run, spill order within a run — is deterministic.
-    while (!heap_.empty() && heap_.top().first == current_.dst) {
+    while (!heap_.empty() && heap_.top().first == current_dst_) {
       const size_t rj = heap_.top().second;
       heap_.pop();
       RunCursor& rc2 = runs_[rj];
-      combiner_(current_.payload.data(), rc2.buf.data() + rc2.buf_pos + 4);
+      combiner_(current_payload_.data(), rc2.buf.data() + rc2.buf_pos + 4);
       ++merge_combined_;
       HG_RETURN_IF_ERROR(ConsumeHead(rj));
     }
@@ -269,12 +263,11 @@ void MessageSpill::WarmupMerge(uint64_t buffer_bytes_per_run,
   }
 }
 
-Status MessageSpill::MergeReadAll(std::vector<SpillEntry>* out) {
+Status MessageSpill::MergeReadAll(RecordSlab* out) {
   if (num_runs_ == 0) return Status::OK();
   HG_ASSIGN_OR_RETURN(auto it, NewMergeIterator(kDefaultMergeBufferBytes));
-  out->reserve(out->size() + num_messages_);
   while (it->Valid()) {
-    out->push_back(it->entry());
+    out->Append(it->dst(), it->payload());
     HG_RETURN_IF_ERROR(it->Next());
   }
   return Status::OK();

@@ -32,15 +32,10 @@
 #include "io/prefetch.h"
 #include "io/storage.h"
 #include "util/codec.h"
+#include "util/record_slab.h"
 #include "util/status.h"
 
 namespace hybridgraph {
-
-/// One spilled message: destination vertex + opaque fixed-size payload.
-struct SpillEntry {
-  uint32_t dst;
-  std::vector<uint8_t> payload;
-};
 
 /// \brief Writes sorted runs of messages and streams them back merged.
 class MessageSpill {
@@ -65,11 +60,12 @@ class MessageSpill {
   /// SpillRun of a batch for runs to shrink on disk.
   void set_combiner(CombineFn fn) { combiner_ = fn; }
 
-  /// Sorts `entries` by destination (combining equal destinations when a
-  /// combiner is armed) and writes them as one run. Cleanup-safe: if the
-  /// write or sync fails, the partially written run blob is deleted before
-  /// the error is returned, so no orphaned `<prefix>/run-*` key survives.
-  Status SpillRun(std::vector<SpillEntry> entries);
+  /// Writes `records` as one run ordered by destination, ties in slab order
+  /// (combining equal destinations, in that order, when a combiner is
+  /// armed). Cleanup-safe: if the write or sync fails, the partially written
+  /// run blob is deleted before the error is returned, so no orphaned
+  /// `<prefix>/run-*` key survives.
+  Status SpillRun(const RecordSlab& records);
 
   /// Number of runs written so far.
   size_t num_runs() const { return num_runs_; }
@@ -91,17 +87,19 @@ class MessageSpill {
   /// never exceeds buffer_bytes() plus the one entry currently exposed.
   class MergeIterator {
    public:
-    /// True while entry() points at a merged entry.
+    /// True while dst()/payload() describe a merged entry.
     bool Valid() const { return valid_; }
-    /// Current merged entry (combined across runs when a combiner is armed).
-    const SpillEntry& entry() const { return current_; }
+    /// Current merged entry (combined across runs when a combiner is
+    /// armed); the payload lives in one fixed scratch slot.
+    uint32_t dst() const { return current_dst_; }
+    const uint8_t* payload() const { return current_payload_.data(); }
     /// Advances to the next merged entry; Valid() turns false at the end.
     Status Next();
 
     /// Entries decoded from disk so far (= bytes consumed / record size).
     uint64_t entries_read() const { return entries_read_; }
-    /// Entries emitted through entry() so far (≤ entries_read when merging
-    /// with a combiner).
+    /// Entries emitted through dst()/payload() so far (≤ entries_read when
+    /// merging with a combiner).
     uint64_t entries_emitted() const { return entries_emitted_; }
     /// Messages folded away by the combiner during this merge.
     uint64_t merge_combined() const { return merge_combined_; }
@@ -138,7 +136,7 @@ class MessageSpill {
     /// Consumes the head record of run `ri` (refilling as needed) and
     /// re-inserts the run's next head into the heap.
     Status ConsumeHead(size_t ri);
-    /// Loads the next merged entry into current_.
+    /// Loads the next merged entry into the current slot.
     Status PrimeNext();
 
     StorageService* storage_;
@@ -157,7 +155,8 @@ class MessageSpill {
                         std::greater<>>
         heap_;
 
-    SpillEntry current_;
+    uint32_t current_dst_ = 0;
+    std::vector<uint8_t> current_payload_;
     bool valid_ = false;
     uint64_t entries_read_ = 0;
     uint64_t entries_emitted_ = 0;
@@ -186,7 +185,7 @@ class MessageSpill {
   /// every entry, grouped by ascending destination, to `*out`. Output is
   /// materialized — prefer NewMergeIterator on memory-bounded paths (the
   /// engine's inbox drain); this remains for checkpoints and tests.
-  Status MergeReadAll(std::vector<SpillEntry>* out);
+  Status MergeReadAll(RecordSlab* out);
 
   /// Deletes every blob under the key prefix — registered runs AND any
   /// orphan left by an earlier crash between write and registration — and

@@ -12,6 +12,21 @@
 
 namespace hybridgraph {
 
+/// Little-endian fixed-width store and load at `p`, for callers that already
+/// checked the bounds (record slabs, record-aligned run chunks).
+template <typename T>
+inline void EncodeFixed(uint8_t* p, T v) {
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    p[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+template <typename T>
+inline T DecodeFixed(const uint8_t* p) {
+  T v = 0;
+  for (size_t i = 0; i < sizeof(T); ++i) v |= static_cast<T>(p[i]) << (8 * i);
+  return v;
+}
+
 /// \brief Appends primitive values to a Buffer in a portable binary format.
 class Encoder {
  public:
@@ -65,9 +80,7 @@ class Encoder {
   template <typename T>
   void PutLittleEndian(T v) {
     uint8_t tmp[sizeof(T)];
-    for (size_t i = 0; i < sizeof(T); ++i) {
-      tmp[i] = static_cast<uint8_t>(v >> (8 * i));
-    }
+    EncodeFixed(tmp, v);
     out_->Append(tmp, sizeof(T));
   }
 
@@ -112,7 +125,7 @@ class Decoder {
   }
 
   Status GetVarint32(uint32_t* v) {
-    uint64_t tmp;
+    uint64_t tmp = 0;
     HG_RETURN_IF_ERROR(GetVarint64(&tmp));
     if (tmp > UINT32_MAX) return Status::Corruption("varint32 overflow");
     *v = static_cast<uint32_t>(tmp);
@@ -120,27 +133,27 @@ class Decoder {
   }
 
   Status GetSignedVarint64(int64_t* v) {
-    uint64_t enc;
+    uint64_t enc = 0;
     HG_RETURN_IF_ERROR(GetVarint64(&enc));
     *v = static_cast<int64_t>((enc >> 1) ^ (~(enc & 1) + 1));
     return Status::OK();
   }
 
   Status GetFloat(float* v) {
-    uint32_t bits;
+    uint32_t bits = 0;
     HG_RETURN_IF_ERROR(GetFixed32(&bits));
     std::memcpy(v, &bits, sizeof(*v));
     return Status::OK();
   }
   Status GetDouble(double* v) {
-    uint64_t bits;
+    uint64_t bits = 0;
     HG_RETURN_IF_ERROR(GetFixed64(&bits));
     std::memcpy(v, &bits, sizeof(*v));
     return Status::OK();
   }
 
   Status GetLengthPrefixed(Slice* out) {
-    uint64_t len;
+    uint64_t len = 0;
     HG_RETURN_IF_ERROR(GetVarint64(&len));
     if (remaining() < len) return Truncated("length-prefixed bytes");
     *out = input_.SubSlice(pos_, len);
@@ -165,12 +178,8 @@ class Decoder {
   template <typename T>
   Status GetLittleEndian(T* v) {
     if (remaining() < sizeof(T)) return Truncated("fixed int");
-    T result = 0;
-    for (size_t i = 0; i < sizeof(T); ++i) {
-      result |= static_cast<T>(input_[pos_ + i]) << (8 * i);
-    }
+    *v = DecodeFixed<T>(input_.data() + pos_);
     pos_ += sizeof(T);
-    *v = result;
     return Status::OK();
   }
 

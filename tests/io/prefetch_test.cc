@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -298,11 +299,11 @@ TEST_F(PrefetchTest, InjectedCrashPropagatesFromFetch) {
 
 TEST_F(PrefetchTest, SpillClearCancelsStagedRunChunks) {
   MessageSpill spill(&storage_, "sp", /*payload_size=*/4);
-  std::vector<SpillEntry> run;
+  RecordSlab run(4);
   for (uint32_t i = 0; i < 32; ++i) {
-    run.push_back({i, std::vector<uint8_t>(4, uint8_t(i))});
+    std::memset(run.Append(i), static_cast<int>(i), 4);
   }
-  ASSERT_TRUE(spill.SpillRun(std::move(run)).ok());
+  ASSERT_TRUE(spill.SpillRun(run).ok());
   const std::vector<std::string> run_keys = storage_.ListKeys("sp/");
   ASSERT_FALSE(run_keys.empty());
 
@@ -325,11 +326,11 @@ TEST_F(PrefetchTest, SpillClearCancelsStagedRunChunks) {
 TEST_F(PrefetchTest, WarmupMergeChunksHitOnFirstRefill) {
   MessageSpill spill(&storage_, "sp", /*payload_size=*/4);
   for (int r = 0; r < 3; ++r) {
-    std::vector<SpillEntry> run;
+    RecordSlab run(4);
     for (uint32_t i = 0; i < 64; ++i) {
-      run.push_back({i * 3 + uint32_t(r), std::vector<uint8_t>(4, uint8_t(r))});
+      std::memset(run.Append(i * 3 + uint32_t(r)), r, 4);
     }
-    ASSERT_TRUE(spill.SpillRun(std::move(run)).ok());
+    ASSERT_TRUE(spill.SpillRun(run).ok());
   }
   ReadPipeline pipe(&storage_, &pool_, 8, 1 << 20);
   constexpr uint64_t kBuf = 64;
