@@ -15,7 +15,7 @@ export ASAN_OPTIONS="halt_on_error=1${ASAN_OPTIONS:+ $ASAN_OPTIONS}"
 "$BUILD_DIR"/tests/hg_util_tests --gtest_filter='FailPoint*:Codec*:Buffer*'
 "$BUILD_DIR"/tests/hg_net_tests
 "$BUILD_DIR"/tests/hg_core_tests \
-  --gtest_filter='FaultInjection*:DifferentialFuzz*:Recovery*:Checkpoint*:*MessagePath*:PullWireValidation*:PullResponseGolden*:HybridGolden*:TraceSpans*:*Pipeline*:*Adaptive*:Frontier*:SkewArmor*:EpochDifferential*:Ghp*'
+  --gtest_filter='FaultInjection*:DifferentialFuzz*:Recovery*:Checkpoint*:*MessagePath*:PullWireValidation*:PullResponseGolden*:PushWireValidation*:PushWireGolden*:HybridGolden*:TraceSpans*:*Pipeline*:*Adaptive*:Frontier*:SkewArmor*:EpochDifferential*:Ghp*'
 # The stores decode fragment blobs and the overlay decodes delta-run blobs
 # (including torn-compaction leftovers); the serve protocol decodes wire
 # payloads — all are corruption-fuzzed.

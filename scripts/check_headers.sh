@@ -35,6 +35,7 @@ src/core/recovery.h
 src/io/storage.h
 src/io/prefetch.h
 src/io/message_spill.h
+src/util/record_slab.h
 src/core/epoch_driver.h
 src/graph/edge_delta.h
 src/graph/ve_block_overlay.h

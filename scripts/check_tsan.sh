@@ -15,8 +15,10 @@ export TSAN_OPTIONS="halt_on_error=1${TSAN_OPTIONS:+ $TSAN_OPTIONS}"
 # SkewArmor* adds the mirroring/dedup differentials at 8 threads (per-node
 # mirror accumulators and advert staging must stay unshared across workers).
 # PullResponseGolden* serves concurrent pulls at 8 threads through the
-# per-requester Pull-Respond scratch.
-"$BUILD_DIR"/tests/hg_core_tests --gtest_filter='*Parallel*:*MessagePathConformance*:*Pipeline*:*Adaptive*:SkewArmor*:EpochDifferential.ModeledMetrics*:Ghp*:PullResponseGolden*'
+# per-requester Pull-Respond scratch; PushWireGolden* posts push batches from
+# 8 worker threads into the per-sender staging. PushWireValidation* rejects
+# hostile push batches at the drain barrier.
+"$BUILD_DIR"/tests/hg_core_tests --gtest_filter='*Parallel*:*MessagePathConformance*:*Pipeline*:*Adaptive*:SkewArmor*:EpochDifferential.ModeledMetrics*:Ghp*:PullResponseGolden*:PushWireGolden*:PushWireValidation*'
 # The query server races transport dispatch threads against the epoch
 # thread: snapshot publication, the ingest queue, and the metrics mutex are
 # exactly the seams TSan watches.

@@ -14,6 +14,9 @@ cmake -B build -S .
 cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j "$(nproc)")
 
+echo "==> repository benchmark self-tests (perfbench/tests)"
+python3 perfbench/tests/run_tests.py
+
 echo "==> spill micro-benchmark (BENCH_spill.json)"
 ./build/bench/bench_spill BENCH_spill.json
 
