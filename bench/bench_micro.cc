@@ -79,22 +79,47 @@ void BM_MemStorageReadRange(benchmark::State& state) {
 }
 BENCHMARK(BM_MemStorageReadRange);
 
+/// `n` spill records of 12 bytes (8-byte payloads) with destinations drawn
+/// from [0, 10000): a span that takes two radix passes.
+RecordSlab SpillRecords(Rng* rng, int n) {
+  RecordSlab records(8);
+  const std::vector<uint8_t> payload(8, 1);
+  for (int i = 0; i < n; ++i) {
+    records.Append(static_cast<uint32_t>(rng->NextBounded(10000)),
+                   payload.data());
+  }
+  return records;
+}
+
+// One SpillRun: the destination sort plus writing the run blob.
+void BM_SpillRun(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Rng rng(5);
+  const RecordSlab records = SpillRecords(&rng, n);
+  MemStorage storage;
+  MessageSpill spill(&storage, "b", 8);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(spill.SpillRun(records.bytes()));
+    state.PauseTiming();
+    (void)spill.Clear();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_SpillRun)->Arg(1340)->Arg(10000);
+
+// A k-way merge of `fan_in` runs of `per_run` records each. {160, 1340} is
+// the pr-push-spill shape: its merge fan-in per node and superstep.
 void BM_SpillMerge(benchmark::State& state) {
-  const int runs = 8;
-  const int per_run = static_cast<int>(state.range(0));
+  const int runs = static_cast<int>(state.range(0));
+  const int per_run = static_cast<int>(state.range(1));
   for (auto _ : state) {
     state.PauseTiming();
     MemStorage storage;
     MessageSpill spill(&storage, "b", 8);
     Rng rng(5);
-    std::vector<uint8_t> payload(8, 1);
     for (int r = 0; r < runs; ++r) {
-      RecordSlab records(8);
-      for (int i = 0; i < per_run; ++i) {
-        records.Append(static_cast<uint32_t>(rng.NextBounded(10000)),
-                       payload.data());
-      }
-      (void)spill.SpillRun(records);
+      (void)spill.SpillRun(SpillRecords(&rng, per_run).bytes());
     }
     state.ResumeTiming();
     RecordSlab out(8);
@@ -102,7 +127,10 @@ void BM_SpillMerge(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * runs * per_run);
 }
-BENCHMARK(BM_SpillMerge)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_SpillMerge)
+    ->Args({8, 1000})
+    ->Args({8, 10000})
+    ->Args({160, 1340});
 
 void BM_EblockScan(benchmark::State& state) {
   const auto graph = GeneratePowerLaw(5000, 12.0, 0.8, 9);

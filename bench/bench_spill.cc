@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   Rng rng(kSeed);
   const auto spill_t0 = std::chrono::steady_clock::now();
   for (size_t r = 0; r < kRuns; ++r) {
-    Status st = spill.SpillRun(MakeRun(&rng));
+    Status st = spill.SpillRun(MakeRun(&rng).bytes());
     if (!st.ok()) {
       std::fprintf(stderr, "spill failed: %s\n", st.message().c_str());
       return 1;

@@ -1,8 +1,8 @@
 #!/bin/sh
-# Single-entry CI gate: plain build + full test suite, then both sanitizer
-# sweeps. Everything a change must pass before it merges.
+# Single-entry CI gate: plain build + full test suite, then the three
+# sanitizer sweeps. Everything a change must pass before it merges.
 #
-#   scripts/ci.sh            # uses build/, build-asan/, build-tsan/
+#   scripts/ci.sh   # uses build/, build-asan/, build-tsan/, build-ubsan/
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -53,4 +53,7 @@ sh scripts/check_asan.sh build-asan
 echo "==> ThreadSanitizer sweep"
 sh scripts/check_tsan.sh build-tsan
 
-echo "CI gate passed: build, tests, ASan and TSan all clean"
+echo "==> UndefinedBehaviorSanitizer sweep"
+sh scripts/check_ubsan.sh build-ubsan
+
+echo "CI gate passed: build, tests, ASan, TSan and UBSan all clean"

@@ -26,41 +26,54 @@ Status AdmitPushRecords(NodeState& node, MessageInbox& inbox, Slice records,
                         const PushPolicy& policy) {
   const size_t record_size = 4 + policy.msg_size;
   HG_DCHECK(records.size() % record_size == 0);
-  RecordSlab overflow(policy.msg_size);
+  // Every destination is checked before any record is admitted, so a batch
+  // naming a foreign vertex leaves the inbox, the moc slots and the spill
+  // as they were.
   for (size_t at = 0; at < records.size(); at += record_size) {
-    const uint8_t* record = records.data() + at;
-    const VertexId dst = DecodeFixed<uint32_t>(record);
+    const VertexId dst = DecodeFixed<uint32_t>(records.data() + at);
     if (!node.range.Contains(dst)) {
       return Status::InvalidArgument(StringFormat(
           "push message for vertex %u outside node %u's range", dst, node.id));
     }
-    const uint32_t li = node.LocalIdx(dst);
-    ++inbox.total;
-    if (policy.online_compute) {
-      // MOCgraph online computing: messages for memory-resident vertices are
-      // folded into the accumulator immediately and never stored.
-      if (node.moc_cached[li]) {
-        if (policy.combiner != nullptr) {
-          uint8_t* acc =
-              node.moc_acc.data() + static_cast<size_t>(li) * policy.msg_size;
-          if (node.moc_has[li]) {
-            policy.combiner(acc, record + 4);
-          } else {
-            std::memcpy(acc, record + 4, policy.msg_size);
-          }
-        }
-        node.moc_has[li] = 1;
-        continue;
-      }
-    } else if (inbox.mem.count() < policy.buffer_cap) {
-      inbox.mem.AppendRecords(record, 1);
+  }
+  const size_t n = records.size() / record_size;
+  inbox.total += n;
+  if (!policy.online_compute) {
+    // The first B_i − |mem| records fill the memory part; the rest of the
+    // batch is one spill run, read straight from `records`.
+    const uint64_t room = policy.buffer_cap - inbox.mem.count();
+    const size_t to_mem = static_cast<size_t>(std::min<uint64_t>(n, room));
+    inbox.mem.AppendRecords(records.data(), to_mem);
+    if (to_mem == n) return Status::OK();
+    inbox.spilled += n - to_mem;
+    return inbox.spill->SpillRun(records.SubSlice(
+        to_mem * record_size, (n - to_mem) * record_size));
+  }
+  // MOCgraph online computing: messages for memory-resident vertices are
+  // folded into the accumulator immediately and never stored; the others
+  // are gathered into one spill run.
+  RecordSlab uncached(policy.msg_size);
+  for (size_t at = 0; at < records.size(); at += record_size) {
+    const uint8_t* record = records.data() + at;
+    const uint32_t li = node.LocalIdx(DecodeFixed<uint32_t>(record));
+    if (!node.moc_cached[li]) {
+      uncached.AppendRecords(record, 1);
       continue;
     }
-    overflow.AppendRecords(record, 1);
-    ++inbox.spilled;
+    if (policy.combiner != nullptr) {
+      uint8_t* acc =
+          node.moc_acc.data() + static_cast<size_t>(li) * policy.msg_size;
+      if (node.moc_has[li]) {
+        policy.combiner(acc, record + 4);
+      } else {
+        std::memcpy(acc, record + 4, policy.msg_size);
+      }
+    }
+    node.moc_has[li] = 1;
   }
-  if (overflow.empty()) return Status::OK();
-  return inbox.spill->SpillRun(overflow);
+  if (uncached.empty()) return Status::OK();
+  inbox.spilled += uncached.count();
+  return inbox.spill->SpillRun(uncached.bytes());
 }
 
 Status ApplyPushBatch(NodeState& node, Slice payload,

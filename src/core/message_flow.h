@@ -40,10 +40,11 @@ struct PushPolicy {
 /// The B_i admit-or-spill rule, the one way a push record enters an inbox:
 /// wire batches, the GraphHP carry and checkpoint restore all go through
 /// it. `records` holds whole `[fixed32 dst | payload]` records. A record for
-/// a vertex outside node.range is InvalidArgument. Under pushM a cached
-/// vertex's record folds into its moc slot; an uncached one spills.
-/// Otherwise records fill `inbox`'s memory part up to B_i. The overflow of
-/// one call is written as one spill run.
+/// a vertex outside node.range is InvalidArgument, and then no record of the
+/// call is admitted. Under pushM a cached vertex's record folds into its moc
+/// slot; an uncached one spills. Otherwise the leading records fill
+/// `inbox`'s memory part up to B_i. The overflow of one call is written as
+/// one spill run.
 Status AdmitPushRecords(NodeState& node, MessageInbox& inbox, Slice records,
                         const PushPolicy& policy);
 

@@ -115,10 +115,10 @@ class AdaptivePath : public BlockPathBase<P> {
       // from a legacy single-Vblock payload).
       Decoder dec(Slice(node.pull_advert_staged[y].data(),
                         node.pull_advert_staged[y].size()));
-      uint32_t count;
+      uint32_t count = 0;
       HG_RETURN_IF_ERROR(dec.GetFixed32(&count));
       for (uint32_t k = 0; k < count; ++k) {
-        uint32_t vb;
+        uint32_t vb = 0;
         HG_RETURN_IF_ERROR(dec.GetFixed32(&vb));
         if (vb < first_vb || vb >= first_vb + num_local_vb) {
           return Status::InvalidArgument("pull advert for a foreign Vblock");

@@ -310,7 +310,7 @@ class VPullPath : public MessagePath<P> {
     std::vector<Value> out(driver_->ctx().num_vertices);
     for (auto& node : nodes_) {
       for (VertexId v : node.owned) {
-        Value value;
+        Value value{};
         HG_RETURN_IF_ERROR(CachedRead(node, node.replica_idx[v], &value));
         out[v] = value;
       }
@@ -428,12 +428,12 @@ class VPullPath : public MessagePath<P> {
   Status HandleApplyBroadcast(GasNode& node, Slice payload) {
     // (vertex, value, responding) triples from masters to replicas.
     Decoder dec(payload);
-    uint64_t count;
+    uint64_t count = 0;
     HG_RETURN_IF_ERROR(dec.GetVarint64(&count));
     Slice raw;
     for (uint64_t k = 0; k < count; ++k) {
-      uint32_t v;
-      uint8_t responding;
+      uint32_t v = 0;
+      uint8_t responding = 0;
       HG_RETURN_IF_ERROR(dec.GetFixed32(&v));
       HG_RETURN_IF_ERROR(dec.GetU8(&responding));
       HG_RETURN_IF_ERROR(dec.GetRaw(kValueRecord, &raw));
@@ -528,7 +528,7 @@ class VPullPath : public MessagePath<P> {
         // not respond this superstep. Clear a stale flag on every replica.
         if (superstep > 0 && node.replica_responding[idx]) {
           node.replica_responding[idx] = 0;
-          Value value;
+          Value value{};
           HG_RETURN_IF_ERROR(CachedRead(node, idx, &value));
           std::vector<uint8_t> vtmp(kValueRecord);
           PodCodec<Value>::Encode(value, vtmp.data());
@@ -543,7 +543,7 @@ class VPullPath : public MessagePath<P> {
         }
         continue;
       }
-      Value value;
+      Value value{};
       HG_RETURN_IF_ERROR(CachedRead(node, idx, &value));
       const auto& msgs = has_msgs ? pit->second : no_msgs;
       const UpdateResult res =

@@ -13,6 +13,11 @@ namespace {
 
 constexpr size_t kRunHeaderBytes = 8;  // fixed64 entry count
 
+// SpillRun's LSD radix digit: three passes cover any 32-bit span, and the
+// 2,048 counters per pass stay in L1.
+constexpr int kRadixBits = 11;
+constexpr uint32_t kRadixMask = (1u << kRadixBits) - 1;
+
 }  // namespace
 
 MessageSpill::MessageSpill(StorageService* storage, std::string key_prefix,
@@ -25,41 +30,83 @@ std::string MessageSpill::RunKey(size_t i) const {
   return StringFormat("%s/run-%06zu", key_prefix_.c_str(), i);
 }
 
-Status MessageSpill::SpillRun(const RecordSlab& records) {
-  if (records.empty()) return Status::OK();
-  HG_FAIL_POINT("spill.flush");
-  HG_DCHECK(records.payload_size() == payload_size_)
-      << "payload size mismatch: " << records.payload_size() << " vs "
-      << payload_size_;
-  // Sorting (dst, slab position) keys is a stable sort by destination.
-  HG_CHECK(records.count() <= UINT32_MAX) << "spill run too large";
-  std::vector<uint64_t> keys(records.count());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    keys[i] = (static_cast<uint64_t>(records.dst(i)) << 32) | i;
+void MessageSpill::SortByDst(const uint8_t* records, size_t n) {
+  const size_t record_size = 4 + payload_size_;
+  uint32_t lo = UINT32_MAX;
+  uint32_t hi = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t dst = DecodeFixed<uint32_t>(records + i * record_size);
+    lo = std::min(lo, dst);
+    hi = std::max(hi, dst);
   }
-  std::sort(keys.begin(), keys.end());
-  Buffer buf;
-  buf.Reserve(kRunHeaderBytes + records.bytes().size());
-  buf.bytes().resize(kRunHeaderBytes);  // fixed64 entry count, stored below
-  uint64_t combined = 0;
-  for (size_t k = 0; k < keys.size(); ++k) {
-    const uint8_t* r = records.record(static_cast<uint32_t>(keys[k]));
-    const bool same_dst = k > 0 && (keys[k] >> 32) == (keys[k - 1] >> 32);
-    if (combiner_ != nullptr && same_dst) {
-      // Fold into the first occurrence, in slab order.
-      combiner_(buf.data() + buf.size() - payload_size_, r + 4);
-      ++combined;
-    } else {
-      buf.Append(r, records.record_size());
+  // One pass per kRadixBits-bit digit of the span; a run for one
+  // destination needs none (position order is already stable).
+  int passes = 0;
+  for (uint64_t span = hi - lo; span != 0; span >>= kRadixBits) ++passes;
+  sort_keys_.resize(n);
+  sort_tmp_.resize(n);
+  digit_counts_.assign(static_cast<size_t>(passes) << kRadixBits, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t rel = DecodeFixed<uint32_t>(records + i * record_size) - lo;
+    sort_keys_[i] = (static_cast<uint64_t>(rel) << 32) | i;
+    for (int p = 0; p < passes; ++p) {
+      ++digit_counts_[(static_cast<size_t>(p) << kRadixBits) |
+                      ((rel >> (p * kRadixBits)) & kRadixMask)];
     }
   }
-  const uint64_t entries = keys.size() - combined;
-  EncodeFixed(buf.data(), entries);
+  // LSD passes: each scatter is stable, so ties keep position order.
+  for (int p = 0; p < passes; ++p) {
+    uint32_t* count =
+        digit_counts_.data() + (static_cast<size_t>(p) << kRadixBits);
+    const int shift = 32 + p * kRadixBits;
+    if (count[(sort_keys_[0] >> shift) & kRadixMask] == n) continue;  // no-op
+    uint32_t sum = 0;
+    for (uint32_t d = 0; d <= kRadixMask; ++d) {
+      const uint32_t c = count[d];
+      count[d] = sum;
+      sum += c;
+    }
+    for (const uint64_t key : sort_keys_) {
+      sort_tmp_[count[(key >> shift) & kRadixMask]++] = key;
+    }
+    sort_keys_.swap(sort_tmp_);
+  }
+}
+
+Status MessageSpill::SpillRun(Slice records) {
+  if (records.empty()) return Status::OK();
+  HG_FAIL_POINT("spill.flush");
+  const size_t record_size = 4 + payload_size_;
+  HG_DCHECK(records.size() % record_size == 0)
+      << "spill input of " << records.size() << " bytes is not whole "
+      << record_size << "-byte records";
+  const size_t n = records.size() / record_size;
+  HG_CHECK(n <= UINT32_MAX) << "spill run too large";
+  SortByDst(records.data(), n);
+  run_bytes_.resize(kRunHeaderBytes + records.size());
+  uint8_t* out = run_bytes_.data() + kRunHeaderBytes;
+  uint64_t combined = 0;
+  for (size_t k = 0; k < n; ++k) {
+    const uint8_t* r =
+        records.data() + static_cast<uint32_t>(sort_keys_[k]) * record_size;
+    if (combiner_ != nullptr && k > 0 &&
+        (sort_keys_[k] >> 32) == (sort_keys_[k - 1] >> 32)) {
+      // Fold into the first occurrence, in input order.
+      combiner_(out - payload_size_, r + 4);
+      ++combined;
+    } else {
+      std::memcpy(out, r, record_size);
+      out += record_size;
+    }
+  }
+  const uint64_t entries = n - combined;
+  EncodeFixed(run_bytes_.data(), entries);
+  const Slice run(run_bytes_.data(), out - run_bytes_.data());
   // Write-then-register: the run only becomes visible (num_runs_) after the
   // blob is durably written. On any failure in between, delete the key so a
   // half-written run is never leaked (Clear() would not know about it).
   const std::string key = RunKey(num_runs_);
-  Status st = storage_->Write(key, buf.AsSlice(), IoClass::kRandWrite);
+  Status st = storage_->Write(key, run, IoClass::kRandWrite);
   // Random write: destination-vertex order has no locality on disk.
   if (st.ok()) st = storage_->Sync(key);
   if (!st.ok()) {
@@ -68,7 +115,7 @@ Status MessageSpill::SpillRun(const RecordSlab& records) {
   }
   ++num_runs_;
   num_messages_ += entries;
-  bytes_written_ += buf.size();
+  bytes_written_ += run.size();
   combined_at_spill_ += combined;
   return Status::OK();
 }
@@ -90,6 +137,7 @@ MessageSpill::MergeIterator::MergeIterator(StorageService* storage,
   const uint64_t per_chunk =
       std::max<uint64_t>(1, buffer_bytes_per_run / record_size_);
   chunk_bytes_ = per_chunk * record_size_;
+  HG_CHECK(spill->num_runs_ <= kRunMask) << "too many spill runs";
   runs_.resize(spill->num_runs_);
   for (size_t i = 0; i < runs_.size(); ++i) {
     runs_[i].key = spill->RunKey(i);
@@ -98,6 +146,7 @@ MessageSpill::MergeIterator::MergeIterator(StorageService* storage,
 }
 
 Status MessageSpill::MergeIterator::Open() {
+  std::vector<uint64_t> leaves(runs_.size());
   for (size_t i = 0; i < runs_.size(); ++i) {
     RunCursor& rc = runs_[i];
     rc.file_size = storage_->SizeOf(rc.key);
@@ -128,11 +177,13 @@ Status MessageSpill::MergeIterator::Open() {
           record_size_, static_cast<unsigned long long>(body)));
     }
     rc.file_pos = kRunHeaderBytes;
+    leaves[i] = kExhausted | i;
     if (rc.disk_entries > 0) {
       HG_RETURN_IF_ERROR(Refill(&rc));
-      heap_.emplace(rc.head_dst, i);
+      leaves[i] = HeadKey(i);
     }
   }
+  BuildTree(leaves);
   return PrimeNext();
 }
 
@@ -155,8 +206,6 @@ Status MessageSpill::MergeIterator::Refill(RunCursor* rc) {
   const uint64_t loaded = want / record_size_;
   rc->disk_entries -= loaded;
   rc->buf_pos = 0;
-  rc->head_dst = DecodeFixed<uint32_t>(rc->buf.data());
-  rc->has_head = true;
   resident_entries_ += loaded;
   peak_resident_entries_ = std::max(peak_resident_entries_, resident_entries_ + 1);
   ScheduleNextChunk(*rc);
@@ -175,49 +224,78 @@ void MessageSpill::MergeIterator::ScheduleNextChunk(const RunCursor& rc) {
                                .io_class = IoClass::kSeqRead});
 }
 
-Status MessageSpill::MergeIterator::ConsumeHead(size_t ri) {
+uint64_t MessageSpill::MergeIterator::HeadKey(size_t ri) const {
+  const RunCursor& rc = runs_[ri];
+  const uint64_t dst = DecodeFixed<uint32_t>(rc.buf.data() + rc.buf_pos);
+  return (dst << 32) | ri;
+}
+
+void MessageSpill::MergeIterator::BuildTree(
+    const std::vector<uint64_t>& leaves) {
+  const size_t k = leaves.size();
+  tree_.assign(std::max<size_t>(k, 1), kExhausted);
+  if (k == 0) return;
+  // win[n] is the winning key below node n; leaves are k..2k-1. Every
+  // internal node has two children, so any k works, powers of two or not.
+  std::vector<uint64_t> win(2 * k);
+  std::copy(leaves.begin(), leaves.end(), win.begin() + k);
+  for (size_t n = k - 1; n >= 1; --n) {
+    win[n] = std::min(win[2 * n], win[2 * n + 1]);
+    tree_[n] = std::max(win[2 * n], win[2 * n + 1]);
+  }
+  tree_[0] = win[1];
+}
+
+void MessageSpill::MergeIterator::Replay(size_t ri, uint64_t key) {
+  // min/max instead of a branch: which key wins is data-dependent, so a
+  // branch here mispredicts about half the time.
+  for (size_t n = (runs_.size() + ri) >> 1; n >= 1; n >>= 1) {
+    const uint64_t loser = tree_[n];
+    tree_[n] = std::max(loser, key);
+    key = std::min(loser, key);
+  }
+  tree_[0] = key;
+}
+
+Status MessageSpill::MergeIterator::ConsumeWinner() {
+  const size_t ri = tree_[0] & kRunMask;
   RunCursor& rc = runs_[ri];
   rc.buf_pos += record_size_;
   ++entries_read_;
   --resident_entries_;
-  if (rc.buf_pos == rc.buf.size()) {
-    if (rc.disk_entries == 0) {
-      rc.has_head = false;
-      rc.buf.clear();
-      rc.buf.shrink_to_fit();
-      return Status::OK();
-    }
+  uint64_t key = kExhausted | ri;
+  if (rc.buf_pos < rc.buf.size()) {
+    key = HeadKey(ri);
+  } else if (rc.disk_entries > 0) {
     HG_RETURN_IF_ERROR(Refill(&rc));
+    key = HeadKey(ri);
   } else {
-    rc.head_dst = DecodeFixed<uint32_t>(rc.buf.data() + rc.buf_pos);
+    rc.buf.clear();
+    rc.buf.shrink_to_fit();
   }
-  heap_.emplace(rc.head_dst, ri);
+  Replay(ri, key);
   return Status::OK();
 }
 
 Status MessageSpill::MergeIterator::PrimeNext() {
-  if (heap_.empty()) {
+  if (tree_[0] >= kExhausted) {
     valid_ = false;
     return Status::OK();
   }
-  const auto [dst, ri] = heap_.top();
-  heap_.pop();
-  RunCursor& rc = runs_[ri];
-  current_dst_ = dst;
+  const RunCursor& rc = runs_[tree_[0] & kRunMask];
+  current_dst_ = static_cast<uint32_t>(tree_[0] >> 32);
   std::memcpy(current_payload_.data(), rc.buf.data() + rc.buf_pos + 4,
               payload_size_);
-  HG_RETURN_IF_ERROR(ConsumeHead(ri));
+  HG_RETURN_IF_ERROR(ConsumeWinner());
   if (combiner_ != nullptr) {
     // Fold every remaining entry for this destination into the current one.
-    // The heap always surfaces the minimal (dst, run) pair, so the fold
+    // The tree always surfaces the minimal (dst, run) key, so the fold
     // order — run by run, spill order within a run — is deterministic.
-    while (!heap_.empty() && heap_.top().first == current_dst_) {
-      const size_t rj = heap_.top().second;
-      heap_.pop();
-      RunCursor& rc2 = runs_[rj];
+    while (tree_[0] < kExhausted && (tree_[0] >> 32) == current_dst_) {
+      const RunCursor& rc2 = runs_[tree_[0] & kRunMask];
       combiner_(current_payload_.data(), rc2.buf.data() + rc2.buf_pos + 4);
       ++merge_combined_;
-      HG_RETURN_IF_ERROR(ConsumeHead(rj));
+      HG_RETURN_IF_ERROR(ConsumeWinner());
     }
   }
   ++entries_emitted_;
@@ -228,7 +306,9 @@ Status MessageSpill::MergeIterator::PrimeNext() {
 
 Status MessageSpill::MergeIterator::Next() {
   if (!valid_) return Status::FailedPrecondition("merge iterator exhausted");
-  return PrimeNext();
+  Status st = PrimeNext();
+  if (!st.ok()) valid_ = false;
+  return st;
 }
 
 Result<std::unique_ptr<MessageSpill::MergeIterator>>

@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -60,12 +59,13 @@ class MessageSpill {
   /// SpillRun of a batch for runs to shrink on disk.
   void set_combiner(CombineFn fn) { combiner_ = fn; }
 
-  /// Writes `records` as one run ordered by destination, ties in slab order
-  /// (combining equal destinations, in that order, when a combiner is
-  /// armed). Cleanup-safe: if the write or sync fails, the partially written
-  /// run blob is deleted before the error is returned, so no orphaned
-  /// `<prefix>/run-*` key survives.
-  Status SpillRun(const RecordSlab& records);
+  /// Writes `records` (whole `[fixed32 dst | payload]` records, e.g. a
+  /// RecordSlab's bytes or a slice of a wire batch) as one run ordered by
+  /// destination, ties in input order (combining equal destinations, in that
+  /// order, when a combiner is armed). Cleanup-safe: if the write or sync
+  /// fails, the partially written run blob is deleted before the error is
+  /// returned, so no orphaned `<prefix>/run-*` key survives.
+  Status SpillRun(Slice records);
 
   /// Number of runs written so far.
   size_t num_runs() const { return num_runs_; }
@@ -82,12 +82,14 @@ class MessageSpill {
   /// Emits entries grouped by ascending destination; ties across runs are
   /// broken by run index, and within a run by spill position, so the merged
   /// order is a pure function of the spill order (deterministic across
-  /// thread counts and independent of heap internals). Reads are metered
-  /// sequential and flow through fixed per-run buffers; resident run data
-  /// never exceeds buffer_bytes() plus the one entry currently exposed.
+  /// thread counts). Runs are ordered by a loser tree over the unique keys
+  /// `(head dst << 32) | run index`. Reads are metered sequential and flow
+  /// through fixed per-run buffers; resident run data never exceeds
+  /// buffer_bytes() plus the one entry currently exposed.
   class MergeIterator {
    public:
-    /// True while dst()/payload() describe a merged entry.
+    /// True while dst()/payload() describe a merged entry; false at the end
+    /// and after any error from Next().
     bool Valid() const { return valid_; }
     /// Current merged entry (combined across runs when a combiner is
     /// armed); the payload lives in one fixed scratch slot.
@@ -121,21 +123,33 @@ class MessageSpill {
       uint64_t disk_entries = 0;///< entries not yet loaded into the buffer
       std::vector<uint8_t> buf; ///< current chunk
       size_t buf_pos = 0;       ///< head record offset within buf
-      uint32_t head_dst = 0;    ///< decoded destination of the head record
-      bool has_head = false;
     };
+
+    /// A key is `(head dst << 32) | run index`. A run whose records are all
+    /// consumed keys as kExhausted | run index, above every live key (a live
+    /// key's bit 31 is clear, even at dst 0xFFFFFFFF).
+    static constexpr uint64_t kRunMask = 0x7FFFFFFF;
+    static constexpr uint64_t kExhausted = 0xFFFFFFFF80000000;
 
     MergeIterator(StorageService* storage, const MessageSpill* spill,
                   uint64_t buffer_bytes_per_run, ReadPipeline* pipeline);
     Status Open();
+    /// Loads the run's next chunk.
     Status Refill(RunCursor* rc);
+    /// The key of run `ri`'s head record.
+    uint64_t HeadKey(size_t ri) const;
     /// Stages the run's next chunk on the pipeline (no-op without one), so
     /// the chunk after the one just loaded reads in the background while the
     /// merge consumes the current one — per-run double buffering.
     void ScheduleNextChunk(const RunCursor& rc);
-    /// Consumes the head record of run `ri` (refilling as needed) and
-    /// re-inserts the run's next head into the heap.
-    Status ConsumeHead(size_t ri);
+    /// Consumes the head record of the winning run (refilling as needed)
+    /// and replays its next key up the tree.
+    Status ConsumeWinner();
+    /// Plays the runs' keys from the leaves up; tree_[0] becomes the winner.
+    void BuildTree(const std::vector<uint64_t>& leaves);
+    /// Replays run `ri`'s new `key` from its leaf to the root. Only the
+    /// winner's key may change between replays.
+    void Replay(size_t ri, uint64_t key);
     /// Loads the next merged entry into the current slot.
     Status PrimeNext();
 
@@ -148,12 +162,12 @@ class MessageSpill {
     uint64_t buffer_bytes_ = 0;
 
     std::vector<RunCursor> runs_;
-    // Min-heap on (dst, run index): the pair's lexicographic order IS the
-    // determinism guarantee — equal destinations always drain in run order.
-    std::priority_queue<std::pair<uint32_t, size_t>,
-                        std::vector<std::pair<uint32_t, size_t>>,
-                        std::greater<>>
-        heap_;
+    // Loser tree over the runs' keys. The keys are unique, and their order
+    // IS the determinism guarantee: equal destinations always drain in run
+    // order. tree_[0] is the winning key; tree_[n] for n in [1, runs) is the
+    // losing key at internal node n, whose children are nodes 2n and 2n+1,
+    // run r being leaf runs + r.
+    std::vector<uint64_t> tree_;
 
     uint32_t current_dst_ = 0;
     std::vector<uint8_t> current_payload_;
@@ -194,6 +208,9 @@ class MessageSpill {
 
  private:
   std::string RunKey(size_t i) const;
+  /// Leaves sort_keys_ holding `(dst − min dst) << 32 | position` for the
+  /// `n` records in stable destination order.
+  void SortByDst(const uint8_t* records, size_t n);
 
   StorageService* storage_;
   std::string key_prefix_;
@@ -203,6 +220,12 @@ class MessageSpill {
   uint64_t num_messages_ = 0;
   uint64_t bytes_written_ = 0;
   uint64_t combined_at_spill_ = 0;
+  // SpillRun scratch, reused by every run: the radix sort's key arrays and
+  // digit counts, and the run blob being written.
+  std::vector<uint64_t> sort_keys_;
+  std::vector<uint64_t> sort_tmp_;
+  std::vector<uint32_t> digit_counts_;
+  std::vector<uint8_t> run_bytes_;
 };
 
 }  // namespace hybridgraph

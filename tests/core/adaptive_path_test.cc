@@ -21,6 +21,7 @@
 #include "core/paths/push_path.h"
 #include "core/superstep_driver.h"
 #include "graph/generator.h"
+#include "util/string_util.h"
 #include "tests/core/reference_impls.h"
 
 namespace hybridgraph {
@@ -122,7 +123,7 @@ TEST_P(AdaptiveDifferential, SsspMatchesReferenceAndPureModes) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, AdaptiveDifferential,
                          ::testing::Values(1u, 8u), [](const auto& info) {
-                           return "t" + std::to_string(info.param);
+                           return StringFormat("t%u", info.param);
                          });
 
 // --------------------------------------------------- thread-count invariance

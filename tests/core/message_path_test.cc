@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -35,6 +36,7 @@
 #include "graph/generator.h"
 #include "net/message_codec.h"
 #include "util/record_slab.h"
+#include "util/string_util.h"
 #include "tests/core/reference_impls.h"
 
 namespace hybridgraph {
@@ -159,7 +161,7 @@ TEST_P(MessagePathConformance, MetricsTagTheProducingPath) {
 INSTANTIATE_TEST_SUITE_P(Threads, MessagePathConformance,
                          ::testing::Values(1u, 8u),
                          [](const auto& info) {
-                           return "t" + std::to_string(info.param);
+                           return StringFormat("t%u", info.param);
                          });
 
 TEST(MessagePathCapabilities, PathsDeclareTheirNeeds) {
@@ -396,10 +398,37 @@ void ExpectForeignPushRejected(const JobConfig& cfg, uint32_t n_valid) {
   }
 }
 
+/// Admits a batch of `n_valid` good records followed by one foreign record
+/// straight into node 0's next inbox and expects InvalidArgument with the
+/// inbox exactly as it was: a batch is admitted whole or not at all.
+void ExpectForeignBatchLeavesInboxUnchanged(const JobConfig& cfg,
+                                            uint32_t n_valid) {
+  Engine<PageRankProgram> engine(cfg, PageRankProgram{});
+  ASSERT_TRUE(engine.Load(TestGraph()).ok());
+  std::vector<NodeState>& nodes = engine.driver().nodes();
+  NodeState& node = nodes[0];
+  const MessageInbox& inbox = node.inbox_next;
+  const RecordSlab mem_before = inbox.mem;
+  const uint64_t total_before = inbox.total;
+  const Buffer batch =
+      PushBatch(n_valid, node.range.begin, nodes[1].range.begin);
+  EXPECT_EQ(
+      ApplyPushBatch(node, batch.AsSlice(), engine.driver().push_policy())
+          .code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(inbox.mem.bytes(), mem_before.bytes());
+  EXPECT_EQ(inbox.total, total_before);
+  EXPECT_EQ(inbox.spilled, 0u);
+  EXPECT_EQ(inbox.spill->num_runs(), 0u);
+}
+
 TEST(PushWireValidation, ForeignVertexRejectedBeforeTheMemoryInbox) {
   JobConfig cfg = BaseConfig(EngineMode::kPush, 1);
   cfg.msg_buffer_per_node = UINT64_MAX;  // every record fits in memory
   ExpectForeignPushRejected(cfg, 0);
+  // The foreign record comes last, after records that would fit.
+  ExpectForeignPushRejected(cfg, 3);
+  ExpectForeignBatchLeavesInboxUnchanged(cfg, 3);
 }
 
 TEST(PushWireValidation, ForeignVertexRejectedBeforeTheOnlineFold) {
@@ -412,6 +441,58 @@ TEST(PushWireValidation, ForeignVertexRejectedBeforeTheSpill) {
   const JobConfig cfg = BaseConfig(EngineMode::kPush, 1);
   ExpectForeignPushRejected(cfg,
                             static_cast<uint32_t>(cfg.msg_buffer_per_node));
+  ExpectForeignBatchLeavesInboxUnchanged(
+      cfg, static_cast<uint32_t>(cfg.msg_buffer_per_node) + 5);
+}
+
+TEST(PushWireValidation, BatchStraddlingTheBufferSplitsIntoMemoryAndOneRun) {
+  const JobConfig cfg = BaseConfig(EngineMode::kPush, 1);  // B_i = 120
+  Engine<PageRankProgram> engine(cfg, PageRankProgram{});
+  ASSERT_TRUE(engine.Load(TestGraph()).ok());
+  NodeState& node = engine.driver().nodes()[0];
+  const PushPolicy& policy = engine.driver().push_policy();
+  MessageInbox& inbox = node.inbox_next;
+  // Record i carries the number i in its payload; destinations descend and
+  // repeat, so the run must reorder them stably.
+  RecordSlab sent(PageRankProgram::kMessageSize);
+  auto batch_of = [&](uint32_t n) {
+    RecordSlab records(PageRankProgram::kMessageSize);
+    for (uint32_t i = 0; i < n; ++i) {
+      const uint32_t number = static_cast<uint32_t>(sent.count());
+      const VertexId dst = node.range.begin + (n - 1 - i) % 7;
+      uint8_t* p = records.Append(dst);
+      std::memset(p, 0, records.payload_size());
+      std::memcpy(p, &number, 4);
+      sent.Append(dst, p);
+    }
+    Buffer batch;
+    FlatBatchCodec::Encode(records, &batch);
+    return batch;
+  };
+  ASSERT_TRUE(ApplyPushBatch(node, batch_of(100).AsSlice(), policy).ok());
+  ASSERT_EQ(inbox.mem.count(), 100u);
+  ASSERT_TRUE(ApplyPushBatch(node, batch_of(50).AsSlice(), policy).ok());
+  // Exactly B_i − |mem| = 20 records of the second batch reach memory.
+  ASSERT_EQ(inbox.mem.count(), cfg.msg_buffer_per_node);
+  EXPECT_EQ(inbox.mem.bytes(),
+            sent.bytes().SubSlice(0, 120 * sent.record_size()));
+  EXPECT_EQ(inbox.total, 150u);
+  EXPECT_EQ(inbox.spilled, 30u);
+  // The 30-record tail is one run, in stable destination order.
+  ASSERT_EQ(inbox.spill->num_runs(), 1u);
+  RecordSlab merged(PageRankProgram::kMessageSize);
+  ASSERT_TRUE(inbox.spill->MergeReadAll(&merged).ok());
+  std::vector<uint32_t> tail(30);
+  for (uint32_t i = 0; i < 30; ++i) tail[i] = 120 + i;
+  std::stable_sort(tail.begin(), tail.end(), [&](uint32_t a, uint32_t b) {
+    return sent.dst(a) < sent.dst(b);
+  });
+  ASSERT_EQ(merged.count(), tail.size());
+  for (size_t i = 0; i < tail.size(); ++i) {
+    EXPECT_EQ(Slice(merged.record(i), merged.record_size()),
+              Slice(sent.record(tail[i]), sent.record_size()))
+        << "i=" << i;
+  }
 }
 
 TEST(PushWireValidation, BodyNotWholeRecordsIsCorruption) {

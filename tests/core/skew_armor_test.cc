@@ -17,6 +17,7 @@
 #include "algos/wcc.h"
 #include "core/engine.h"
 #include "graph/generator.h"
+#include "util/string_util.h"
 
 namespace hybridgraph {
 namespace {
@@ -112,7 +113,7 @@ TEST_P(SkewArmorMirroring, PageRankAgreesToTolerance) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, SkewArmorMirroring,
                          ::testing::Values(1u, 8u), [](const auto& info) {
-                           return "t" + std::to_string(info.param);
+                           return StringFormat("t%u", info.param);
                          });
 
 TEST(SkewArmorMirroring, RejectsNonCombinablePrograms) {

@@ -5,11 +5,14 @@
 #include <algorithm>
 #include <cstring>
 #include <initializer_list>
+#include <iterator>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "util/failpoint.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace hybridgraph {
 namespace {
@@ -35,7 +38,8 @@ uint32_t PayloadValue(const uint8_t* p) {
 TEST(MessageSpill, SingleRunSortedByDst) {
   MemStorage storage;
   MessageSpill spill(&storage, "t", 4);
-  ASSERT_TRUE(spill.SpillRun(Records({{5, 50}, {1, 10}, {3, 30}})).ok());
+  ASSERT_TRUE(
+      spill.SpillRun(Records({{5, 50}, {1, 10}, {3, 30}}).bytes()).ok());
   EXPECT_EQ(spill.num_runs(), 1u);
   EXPECT_EQ(spill.num_messages(), 3u);
 
@@ -51,9 +55,9 @@ TEST(MessageSpill, SingleRunSortedByDst) {
 TEST(MessageSpill, MergeAcrossRunsGroupsDestinations) {
   MemStorage storage;
   MessageSpill spill(&storage, "t", 4);
-  ASSERT_TRUE(spill.SpillRun(Records({{2, 1}, {4, 2}})).ok());
-  ASSERT_TRUE(spill.SpillRun(Records({{2, 3}, {1, 4}})).ok());
-  ASSERT_TRUE(spill.SpillRun(Records({{4, 5}})).ok());
+  ASSERT_TRUE(spill.SpillRun(Records({{2, 1}, {4, 2}}).bytes()).ok());
+  ASSERT_TRUE(spill.SpillRun(Records({{2, 3}, {1, 4}}).bytes()).ok());
+  ASSERT_TRUE(spill.SpillRun(Records({{4, 5}}).bytes()).ok());
 
   RecordSlab out(4);
   ASSERT_TRUE(spill.MergeReadAll(&out).ok());
@@ -70,7 +74,7 @@ TEST(MessageSpill, MergeAcrossRunsGroupsDestinations) {
 TEST(MessageSpill, EmptyRunIsNoop) {
   MemStorage storage;
   MessageSpill spill(&storage, "t", 4);
-  ASSERT_TRUE(spill.SpillRun(RecordSlab(4)).ok());
+  ASSERT_TRUE(spill.SpillRun(RecordSlab(4).bytes()).ok());
   EXPECT_EQ(spill.num_runs(), 0u);
   RecordSlab out(4);
   ASSERT_TRUE(spill.MergeReadAll(&out).ok());
@@ -82,7 +86,7 @@ TEST(MessageSpill, WritesAreRandomReadsSequential) {
   // destination locality), merge reads are sequential.
   MemStorage storage;
   MessageSpill spill(&storage, "t", 4);
-  ASSERT_TRUE(spill.SpillRun(Records({{1, 1}, {2, 2}})).ok());
+  ASSERT_TRUE(spill.SpillRun(Records({{1, 1}, {2, 2}}).bytes()).ok());
   EXPECT_GT(storage.meter()->bytes(IoClass::kRandWrite), 0u);
   EXPECT_EQ(storage.meter()->bytes(IoClass::kSeqRead) +
                 storage.meter()->cached_bytes(IoClass::kSeqRead),
@@ -97,14 +101,14 @@ TEST(MessageSpill, WritesAreRandomReadsSequential) {
 TEST(MessageSpill, ClearResetsAndDeletesBlobs) {
   MemStorage storage;
   MessageSpill spill(&storage, "t", 4);
-  ASSERT_TRUE(spill.SpillRun(Records({{1, 1}})).ok());
+  ASSERT_TRUE(spill.SpillRun(Records({{1, 1}}).bytes()).ok());
   EXPECT_FALSE(storage.ListKeys("t/").empty());
   ASSERT_TRUE(spill.Clear().ok());
   EXPECT_EQ(spill.num_runs(), 0u);
   EXPECT_EQ(spill.num_messages(), 0u);
   EXPECT_TRUE(storage.ListKeys("t/").empty());
   // Reusable after clear.
-  ASSERT_TRUE(spill.SpillRun(Records({{7, 7}})).ok());
+  ASSERT_TRUE(spill.SpillRun(Records({{7, 7}}).bytes()).ok());
   RecordSlab out(4);
   ASSERT_TRUE(spill.MergeReadAll(&out).ok());
   ASSERT_EQ(out.count(), 1u);
@@ -129,7 +133,7 @@ TEST_P(SpillFuzzTest, RandomRunsMergeSorted) {
       ++per_dst_count[dst];
       ++total;
     }
-    ASSERT_TRUE(spill.SpillRun(run).ok());
+    ASSERT_TRUE(spill.SpillRun(run.bytes()).ok());
   }
   RecordSlab out(4);
   ASSERT_TRUE(spill.MergeReadAll(&out).ok());
@@ -203,7 +207,7 @@ TEST_P(StreamingDifferentialTest, StreamingEqualsMaterializingReference) {
     }
     StableSortByDst(&copy);
     for (auto& e : copy) concatenated.push_back(std::move(e));
-    ASSERT_TRUE(spill.SpillRun(run).ok());
+    ASSERT_TRUE(spill.SpillRun(run.bytes()).ok());
   }
   const std::vector<RefMessage> want = ReferenceMerge(std::move(concatenated));
 
@@ -245,9 +249,9 @@ TEST(MergeIterator, TieBreakIsRunOrderThenSpillOrder) {
   MemStorage storage;
   MessageSpill spill(&storage, "t", 4);
   // Three runs, all hitting dst 9; payloads encode (run, position).
-  ASSERT_TRUE(spill.SpillRun(Records({{9, 100}, {9, 101}})).ok());
-  ASSERT_TRUE(spill.SpillRun(Records({{9, 200}})).ok());
-  ASSERT_TRUE(spill.SpillRun(Records({{9, 300}, {9, 301}})).ok());
+  ASSERT_TRUE(spill.SpillRun(Records({{9, 100}, {9, 101}}).bytes()).ok());
+  ASSERT_TRUE(spill.SpillRun(Records({{9, 200}}).bytes()).ok());
+  ASSERT_TRUE(spill.SpillRun(Records({{9, 300}, {9, 301}}).bytes()).ok());
 
   RecordSlab out(4);
   ASSERT_TRUE(spill.MergeReadAll(&out).ok());
@@ -283,8 +287,8 @@ TEST(MessageSpillCombine, FoldsAtSpillTimeAndShrinksRuns) {
   MessageSpill com(&com_storage, "t", 4);
   com.set_combiner(&SumCombine);
   const RecordSlab run = Records({{3, 1}, {1, 2}, {3, 4}, {1, 8}, {2, 16}});
-  ASSERT_TRUE(raw.SpillRun(run).ok());
-  ASSERT_TRUE(com.SpillRun(run).ok());
+  ASSERT_TRUE(raw.SpillRun(run.bytes()).ok());
+  ASSERT_TRUE(com.SpillRun(run.bytes()).ok());
 
   EXPECT_EQ(raw.num_messages(), 5u);
   EXPECT_EQ(com.num_messages(), 3u);  // one record per distinct dst
@@ -306,9 +310,9 @@ TEST(MessageSpillCombine, FoldsAcrossRunsDuringMerge) {
   MemStorage storage;
   MessageSpill spill(&storage, "t", 4);
   spill.set_combiner(&SumCombine);
-  ASSERT_TRUE(spill.SpillRun(Records({{1, 1}, {2, 2}})).ok());
-  ASSERT_TRUE(spill.SpillRun(Records({{2, 4}, {3, 8}})).ok());
-  ASSERT_TRUE(spill.SpillRun(Records({{2, 16}})).ok());
+  ASSERT_TRUE(spill.SpillRun(Records({{1, 1}, {2, 2}}).bytes()).ok());
+  ASSERT_TRUE(spill.SpillRun(Records({{2, 4}, {3, 8}}).bytes()).ok());
+  ASSERT_TRUE(spill.SpillRun(Records({{2, 16}}).bytes()).ok());
 
   auto res = spill.NewMergeIterator(MessageSpill::kDefaultMergeBufferBytes);
   ASSERT_TRUE(res.ok());
@@ -346,8 +350,8 @@ TEST_P(CombineEquivalenceTest, MergeCombineMatchesRawAggregate) {
         const uint32_t dst = static_cast<uint32_t>(rng.NextBounded(20));
         Put(&run, dst, 1 + static_cast<uint32_t>(rng.NextBounded(1000)));
       }
-      ASSERT_TRUE(raw.SpillRun(run).ok());
-      ASSERT_TRUE(com.SpillRun(run).ok());
+      ASSERT_TRUE(raw.SpillRun(run.bytes()).ok());
+      ASSERT_TRUE(com.SpillRun(run.bytes()).ok());
     }
     RecordSlab raw_out(4), com_out(4);
     ASSERT_TRUE(raw.MergeReadAll(&raw_out).ok());
@@ -387,7 +391,7 @@ TEST(MergeIteratorCorruption, TruncatedRunIsCorruptionNotOob) {
   MessageSpill spill(&storage, "t", 4);
   RecordSlab run(4);
   for (uint32_t i = 0; i < 32; ++i) Put(&run, i, i);
-  ASSERT_TRUE(spill.SpillRun(run).ok());
+  ASSERT_TRUE(spill.SpillRun(run.bytes()).ok());
 
   const std::string key = storage.ListKeys("t/")[0];
   auto read = storage.Read(key, {.io_class = IoClass::kSeqRead});
@@ -409,7 +413,7 @@ TEST(MergeIteratorCorruption, TruncatedRunIsCorruptionNotOob) {
 TEST(MergeIteratorCorruption, BitFlippedCountIsCorruptionNotOob) {
   MemStorage storage;
   MessageSpill spill(&storage, "t", 4);
-  ASSERT_TRUE(spill.SpillRun(Records({{1, 1}, {2, 2}})).ok());
+  ASSERT_TRUE(spill.SpillRun(Records({{1, 1}, {2, 2}}).bytes()).ok());
 
   const std::string key = storage.ListKeys("t/")[0];
   auto read = storage.Read(key, {.io_class = IoClass::kSeqRead});
@@ -431,7 +435,7 @@ TEST(MergeIteratorCorruption, BitFlippedCountIsCorruptionNotOob) {
 TEST(MergeIteratorCorruption, RunBelowHeaderSizeIsCorruption) {
   MemStorage storage;
   MessageSpill spill(&storage, "t", 4);
-  ASSERT_TRUE(spill.SpillRun(Records({{1, 1}})).ok());
+  ASSERT_TRUE(spill.SpillRun(Records({{1, 1}}).bytes()).ok());
   const std::string key = storage.ListKeys("t/")[0];
   const uint8_t tiny[3] = {0, 1, 2};
   ASSERT_TRUE(storage.Write(key, Slice(tiny, 3), IoClass::kRandWrite).ok());
@@ -456,7 +460,7 @@ TEST_P(CorruptionFuzzTest, MutatedRunNeverReadsOutOfBounds) {
       const uint32_t dst = static_cast<uint32_t>(rng.NextBounded(32));
       Put(&run, dst, static_cast<uint32_t>(rng.NextBounded(100)));
     }
-    ASSERT_TRUE(spill.SpillRun(run).ok());
+    ASSERT_TRUE(spill.SpillRun(run.bytes()).ok());
     const std::string key = storage.ListKeys("t/")[0];
     auto read = storage.Read(key, {.io_class = IoClass::kSeqRead});
     ASSERT_TRUE(read.ok());
@@ -510,7 +514,7 @@ TEST(MergeIterator, ResidentEntriesStayWithinBufferBound) {
       Put(&run, static_cast<uint32_t>(rng.NextBounded(1000)),
           static_cast<uint32_t>(i));
     }
-    ASSERT_TRUE(spill.SpillRun(run).ok());
+    ASSERT_TRUE(spill.SpillRun(run.bytes()).ok());
   }
   // 4 records of buffer per run: the merge must never hold more than
   // runs × 4 buffered entries (+1 for the exposed current entry), out of
@@ -533,7 +537,7 @@ TEST(MergeIterator, ResidentEntriesStayWithinBufferBound) {
 TEST(MergeIterator, OddBufferSizeRoundsDownToWholeRecords) {
   MemStorage storage;
   MessageSpill spill(&storage, "t", 4);
-  ASSERT_TRUE(spill.SpillRun(Records({{1, 1}, {2, 2}})).ok());
+  ASSERT_TRUE(spill.SpillRun(Records({{1, 1}, {2, 2}}).bytes()).ok());
   auto res = spill.NewMergeIterator(19);  // 2 whole 8-byte records
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res.value()->buffer_bytes(), 16u);
@@ -547,7 +551,7 @@ TEST(MessageSpillOrphans, FailedSyncLeavesNoStrayKeyAndSpillStaysUsable) {
   {
     FailPointScope fp("storage.sync=error");
     ASSERT_TRUE(fp.status().ok());
-    Status st = spill.SpillRun(Records({{1, 1}, {2, 2}}));
+    Status st = spill.SpillRun(Records({{1, 1}, {2, 2}}).bytes());
     EXPECT_FALSE(st.ok());
   }
   // Write-then-register: the failed run must not be visible anywhere.
@@ -556,7 +560,7 @@ TEST(MessageSpillOrphans, FailedSyncLeavesNoStrayKeyAndSpillStaysUsable) {
   EXPECT_TRUE(storage.ListKeys("t/").empty());
 
   // The same key slot is reused cleanly once the fault clears.
-  ASSERT_TRUE(spill.SpillRun(Records({{7, 7}})).ok());
+  ASSERT_TRUE(spill.SpillRun(Records({{7, 7}}).bytes()).ok());
   RecordSlab out(4);
   ASSERT_TRUE(spill.MergeReadAll(&out).ok());
   ASSERT_EQ(out.count(), 1u);
@@ -566,7 +570,7 @@ TEST(MessageSpillOrphans, FailedSyncLeavesNoStrayKeyAndSpillStaysUsable) {
 TEST(MessageSpillOrphans, ClearSweepsUnregisteredStrays) {
   MemStorage storage;
   MessageSpill spill(&storage, "t", 4);
-  ASSERT_TRUE(spill.SpillRun(Records({{1, 1}})).ok());
+  ASSERT_TRUE(spill.SpillRun(Records({{1, 1}}).bytes()).ok());
   // Simulate a dead incarnation's leftover: a run blob the live spill never
   // registered (e.g. written just before a crash).
   const uint8_t junk[8] = {1, 0, 0, 0, 0, 0, 0, 0};
@@ -575,6 +579,187 @@ TEST(MessageSpillOrphans, ClearSweepsUnregisteredStrays) {
                   .ok());
   ASSERT_TRUE(spill.Clear().ok());
   EXPECT_TRUE(storage.ListKeys("t/").empty());
+}
+
+// ------------------------------------------------------------ sort and merge
+//
+// The spill kernels against std::stable_sort: SpillRun's radix sort at every
+// pass count, and the loser-tree merge at fan-ins that are 1, powers of two
+// and neither.
+
+/// An associative, non-commutative fold: payloads are affine maps
+/// x -> a·x + b (mod 2^32), combined as "acc, then other". Any change of
+/// fold order changes the result, while spill-time pre-folding does not.
+void AffineCombine(uint8_t* acc, const uint8_t* other) {
+  uint32_t a, b, c, d;
+  std::memcpy(&a, acc, 4);
+  std::memcpy(&b, acc + 4, 4);
+  std::memcpy(&c, other, 4);
+  std::memcpy(&d, other + 4, 4);
+  a *= c;
+  b = b * c + d;
+  std::memcpy(acc, &a, 4);
+  std::memcpy(acc + 4, &b, 4);
+}
+
+std::vector<uint8_t> AffinePayload(Rng* rng) {
+  const uint32_t ab[2] = {
+      static_cast<uint32_t>(rng->NextBounded(UINT32_MAX)) | 1u,
+      static_cast<uint32_t>(rng->NextBounded(UINT32_MAX))};
+  std::vector<uint8_t> p(8);
+  std::memcpy(p.data(), ab, 8);
+  return p;
+}
+
+/// `sorted` (ordered by dst) with equal destinations left-folded in order
+/// when `combine` is set.
+std::vector<RefMessage> FoldEqualDsts(std::vector<RefMessage> sorted,
+                                      bool combine) {
+  if (!combine) return sorted;
+  std::vector<RefMessage> out;
+  for (auto& m : sorted) {
+    if (!out.empty() && out.back().dst == m.dst) {
+      AffineCombine(out.back().payload.data(), m.payload.data());
+    } else {
+      out.push_back(std::move(m));
+    }
+  }
+  return out;
+}
+
+/// The run blob SpillRun must write for `messages` (in input order).
+std::vector<uint8_t> ReferenceRunBlob(std::vector<RefMessage> messages,
+                                      bool combine) {
+  StableSortByDst(&messages);
+  const std::vector<RefMessage> run =
+      FoldEqualDsts(std::move(messages), combine);
+  std::vector<uint8_t> blob(8);
+  const uint64_t count = run.size();
+  std::memcpy(blob.data(), &count, 8);
+  for (const RefMessage& m : run) {
+    const uint8_t* dst = reinterpret_cast<const uint8_t*>(&m.dst);
+    blob.insert(blob.end(), dst, dst + 4);
+    blob.insert(blob.end(), m.payload.begin(), m.payload.end());
+  }
+  return blob;
+}
+
+struct RadixCase {
+  const char* name;
+  std::vector<uint32_t> dsts;  ///< candidate destinations
+};
+
+TEST(SpillRunRadix, RunBlobsEqualTheStableSortAtEveryPassCount) {
+  // Spans of 0, < 2^11, < 2^22 and up to 2^32 - 1 need 0..3 digit passes;
+  // the multiples of 2^11 share their low digit (a pass that moves nothing).
+  std::vector<uint32_t> one_pass, two_pass, three_pass, high_only;
+  for (uint32_t i = 0; i < 40; ++i) {
+    one_pass.push_back(1000 + i * 51);
+    two_pass.push_back(70000 + i * 100003);
+    high_only.push_back(5 + i * 2048);
+  }
+  three_pass = {0u, 1u, 2047u, 2048u, 4194303u, 4194304u, 0x7FFFFFFFu,
+                0xFFFFFFFEu, 0xFFFFFFFFu};
+  const std::vector<RadixCase> cases = {{"one dst", {77}},
+                                        {"one pass", one_pass},
+                                        {"two passes", two_pass},
+                                        {"three passes", three_pass},
+                                        {"shared low digit", high_only}};
+  Rng rng(11);
+  for (const bool combine : {false, true}) {
+    MemStorage storage;
+    MessageSpill spill(&storage, "t", 8);
+    if (combine) spill.set_combiner(AffineCombine);
+    size_t run_index = 0;
+    for (const RadixCase& c : cases) {
+      for (const size_t n : {size_t{1}, size_t{2}, size_t{300}}) {
+        std::vector<RefMessage> messages;
+        RecordSlab run(8);
+        for (size_t i = 0; i < n; ++i) {
+          messages.push_back({c.dsts[rng.NextBounded(c.dsts.size())],
+                              AffinePayload(&rng)});
+          run.Append(messages.back().dst, messages.back().payload.data());
+        }
+        ASSERT_TRUE(spill.SpillRun(run.bytes()).ok());
+        auto blob = storage.Read(StringFormat("t/run-%06zu", run_index++), {});
+        ASSERT_TRUE(blob.ok());
+        EXPECT_EQ(blob->data, ReferenceRunBlob(messages, combine))
+            << c.name << " n=" << n << " combine=" << combine;
+      }
+    }
+  }
+}
+
+class SpillMergeFanIn
+    : public ::testing::TestWithParam<std::tuple<size_t, bool>> {};
+
+TEST_P(SpillMergeFanIn, MergedOrderAndFoldOrderEqualTheStableSort) {
+  const auto [fan_in, combine] = GetParam();
+  Rng rng(fan_in * 2 + combine);
+  MemStorage storage;
+  MessageSpill spill(&storage, "t", 8);
+  if (combine) spill.set_combiner(AffineCombine);
+  // Destinations collide across runs, and include 0 and 0xFFFFFFFF: the
+  // largest dst must not be mistaken for an exhausted run.
+  const uint32_t dsts[] = {0u, 3u, 4u, 9u, 1000u, 0xFFFFFFFEu, 0xFFFFFFFFu};
+  std::vector<RefMessage> concatenated;
+  for (size_t r = 0; r < fan_in; ++r) {
+    RecordSlab run(8);
+    const size_t n = 1 + rng.NextBounded(24);
+    for (size_t i = 0; i < n; ++i) {
+      concatenated.push_back(
+          {dsts[rng.NextBounded(std::size(dsts))], AffinePayload(&rng)});
+      run.Append(concatenated.back().dst, concatenated.back().payload.data());
+    }
+    ASSERT_TRUE(spill.SpillRun(run.bytes()).ok());
+  }
+  const std::vector<RefMessage> want =
+      FoldEqualDsts(ReferenceMerge(std::move(concatenated)), combine);
+
+  // One record per chunk refills on every step; the default rarely does.
+  for (const uint64_t buf : {uint64_t{12}, uint64_t{36},
+                             MessageSpill::kDefaultMergeBufferBytes}) {
+    auto res = spill.NewMergeIterator(buf);
+    ASSERT_TRUE(res.ok()) << res.status().message();
+    auto it = std::move(res).value();
+    size_t i = 0;
+    for (; it->Valid(); ++i) {
+      ASSERT_LT(i, want.size()) << "buf=" << buf;
+      ASSERT_EQ(it->dst(), want[i].dst) << "buf=" << buf << " i=" << i;
+      ASSERT_TRUE(SamePayload(it->payload(), want[i].payload))
+          << "buf=" << buf << " i=" << i;
+      ASSERT_TRUE(it->Next().ok());
+    }
+    EXPECT_EQ(i, want.size()) << "buf=" << buf;
+    EXPECT_EQ(it->entries_emitted(), want.size());
+    EXPECT_EQ(it->entries_read(), spill.num_messages());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FanIn, SpillMergeFanIn,
+    ::testing::Combine(::testing::Values(1, 2, 3, 5, 64, 160, 257),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return StringFormat("k%zu_%s", std::get<0>(info.param),
+                          std::get<1>(info.param) ? "combine" : "raw");
+    });
+
+TEST(MergeIterator, RefillErrorInNextInvalidatesTheIterator) {
+  MemStorage storage;
+  MessageSpill spill(&storage, "t", 4);
+  ASSERT_TRUE(spill.SpillRun(Records({{1, 1}, {2, 2}, {3, 3}}).bytes()).ok());
+  // Two records per chunk: Open's refill is the first hit. The first Next()
+  // consumes the chunk's last record, and its refill is the second hit.
+  FailPointScope fp("spill.merge=crash:after=1");
+  ASSERT_TRUE(fp.status().ok());
+  auto res = spill.NewMergeIterator(16);
+  ASSERT_TRUE(res.ok()) << res.status().message();
+  auto it = std::move(res).value();
+  ASSERT_TRUE(it->Valid());
+  EXPECT_EQ(it->dst(), 1u);
+  EXPECT_FALSE(it->Next().ok());
+  EXPECT_FALSE(it->Valid());
 }
 
 }  // namespace

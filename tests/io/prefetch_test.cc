@@ -303,7 +303,7 @@ TEST_F(PrefetchTest, SpillClearCancelsStagedRunChunks) {
   for (uint32_t i = 0; i < 32; ++i) {
     std::memset(run.Append(i), static_cast<int>(i), 4);
   }
-  ASSERT_TRUE(spill.SpillRun(run).ok());
+  ASSERT_TRUE(spill.SpillRun(run.bytes()).ok());
   const std::vector<std::string> run_keys = storage_.ListKeys("sp/");
   ASSERT_FALSE(run_keys.empty());
 
@@ -330,7 +330,7 @@ TEST_F(PrefetchTest, WarmupMergeChunksHitOnFirstRefill) {
     for (uint32_t i = 0; i < 64; ++i) {
       std::memset(run.Append(i * 3 + uint32_t(r)), r, 4);
     }
-    ASSERT_TRUE(spill.SpillRun(run).ok());
+    ASSERT_TRUE(spill.SpillRun(run.bytes()).ok());
   }
   ReadPipeline pipe(&storage_, &pool_, 8, 1 << 20);
   constexpr uint64_t kBuf = 64;
