@@ -148,6 +148,10 @@ void BM_EblockScan(benchmark::State& state) {
     for (uint32_t svb = 0; svb < 8; ++svb) {
       for (uint32_t dvb = 0; dvb < 16; ++dvb) {
         benchmark::DoNotOptimize(store->ScanEblock(svb, dvb, &scan));
+        uint64_t edges = 0;
+        EdgeRunWalker runs = scan.Walk();
+        for (EdgeRun run; runs.Next(&run);) edges += run.edges.size();
+        benchmark::DoNotOptimize(edges);
       }
     }
   }

@@ -16,14 +16,15 @@ export ASAN_OPTIONS="halt_on_error=1${ASAN_OPTIONS:+ $ASAN_OPTIONS}"
 "$BUILD_DIR"/tests/hg_net_tests
 "$BUILD_DIR"/tests/hg_core_tests \
   --gtest_filter='FaultInjection*:DifferentialFuzz*:Recovery*:Checkpoint*:*MessagePath*:PullWireValidation*:PullResponseGolden*:PushWireValidation*:PushWireGolden*:HybridGolden*:TraceSpans*:*Pipeline*:*Adaptive*:Frontier*:SkewArmor*:EpochDifferential*:Ghp*'
-# The stores decode fragment blobs and the overlay decodes delta-run blobs
-# (including torn-compaction leftovers); the serve protocol decodes wire
-# payloads — all are corruption-fuzzed.
-"$BUILD_DIR"/tests/hg_graph_tests --gtest_filter='VeBlockStore*:VeBlockOverlay*:EdgeStream*:BoundaryInner*'
+# The stores walk adjacency blocks and fragment blobs through the edge-run
+# walker and the overlay decodes delta-run blobs (including torn-compaction
+# leftovers); the serve protocol decodes wire payloads — all are
+# corruption-fuzzed.
+"$BUILD_DIR"/tests/hg_graph_tests --gtest_filter='VeBlockStore*:VeBlockOverlay*:EdgeStream*:BoundaryInner*:AdjacencyStore*:EdgeRuns*'
 "$BUILD_DIR"/tests/hg_serve_tests
 # The spill suite decodes deliberately truncated/bit-flipped run files and
 # streams merges through minimal buffers — the OOB-sensitive paths the
 # corruption fuzzers exist for.
 "$BUILD_DIR"/tests/hg_io_tests \
-  --gtest_filter='*Spill*:*MergeIterator*:*Corruption*:Prefetch*:Storage*'
+  --gtest_filter='*Spill*:*MergeIterator*:*Corruption*:Prefetch*:Storage*:Seeds/StreamingDifferentialTest.*:Seeds/CombineEquivalenceTest.*'
 echo "ASan clean: codec fuzz + fault injection + transport + recovery + spill + overlay/serve tests ran leak/overflow-free"

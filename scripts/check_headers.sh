@@ -38,6 +38,7 @@ src/io/message_spill.h
 src/util/record_slab.h
 src/core/epoch_driver.h
 src/graph/edge_delta.h
+src/graph/edge_runs.h
 src/graph/ve_block_overlay.h
 src/serve/snapshot.h
 src/serve/serve_protocol.h

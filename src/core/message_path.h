@@ -44,10 +44,6 @@ struct ProgramOps {
       (void)other;
     }
   }
-
-  static PendingSet::CombineRawFn PendingCombiner() {
-    return P::kCombinable ? &CombineRaw : nullptr;
-  }
 };
 
 /// What a path needs from the shared topology and which driver services

@@ -184,8 +184,8 @@ class BlockPathBase : public MessagePath<P> {
         vb + 1 < partition.LastVblockOf(node.id)) {
       node.adj->PrefetchBlock(vb + 1, node.pipeline.get());
     }
-    std::vector<AdjacencyStore::VertexAdj> adj;
-    HG_RETURN_IF_ERROR(node.adj->ReadBlock(vb, &adj, node.pipeline.get()));
+    std::vector<uint8_t> block;
+    HG_RETURN_IF_ERROR(node.adj->ReadBlock(vb, &block, node.pipeline.get()));
     node.io.adj_edge_bytes += node.adj->BlockBytes(vb);
     node.cpu_seconds +=
         config.cpu.per_edge_s * static_cast<double>(node.adj->BlockEdges(vb));
@@ -193,16 +193,19 @@ class BlockPathBase : public MessagePath<P> {
 
     const VertexRange r = partition.VblockRange(vb);
     std::vector<uint8_t> msg_bytes(P::kMessageSize);
-    for (const auto& va : adj) {
-      const uint32_t in_block = va.id - r.begin;
+    // Every yielded run is checked (ids in block order, destinations existing
+    // vertices); a non-responding vertex's edges are stepped over in place.
+    EdgeRunWalker runs = node.adj->Walk(vb, Slice(block));
+    for (EdgeRun run; runs.Next(&run);) {
+      const uint32_t in_block = run.src - r.begin;
       if (!respond_in_vb[in_block]) continue;
       const Value value = PodCodec<Value>::Decode(
           block_values.data() + static_cast<size_t>(in_block) * P::kValueSize);
-      const uint32_t out_degree = node.vstore->OutDegree(va.id);
-      for (const auto& e : va.out) {
+      const uint32_t out_degree = node.vstore->OutDegree(run.src);
+      for (const Edge e : run.edges) {
         if (!keep(e.dst)) continue;
         const Message m = driver_->program().GenMessage(
-            va.id, value, out_degree, e, driver_->ctx());
+            run.src, value, out_degree, e, driver_->ctx());
         ++node.msgs_produced;
         node.cpu_seconds += config.cpu.per_message_s;
         const NodeId dst_node = partition.NodeOf(e.dst);
@@ -229,7 +232,7 @@ class BlockPathBase : public MessagePath<P> {
                                                config.sending_threshold_bytes));
       }
     }
-    return Status::OK();
+    return runs.status();
   }
 
   /// Algorithm 2 (Pull-Respond) for the target Vblocks in `payload`, served
@@ -238,8 +241,8 @@ class BlockPathBase : public MessagePath<P> {
   /// accounting and scratch live in the per-requester staging slot (merged
   /// after the Phase A barrier) so concurrent pulls to this node never touch
   /// its shared counters. Target ids come off the wire and are rejected
-  /// unless they name an existing Vblock; Eblock contents are checked
-  /// against their cell before they index anything.
+  /// unless they name an existing Vblock; the Eblock walker checks every
+  /// run against its cell before it indexes anything.
   template <typename KeepCell>
   Status ServePullCells(NodeState& node, NodeId requester, Slice payload,
                         Buffer* response, KeepCell keep_cell) {
@@ -276,6 +279,7 @@ class BlockPathBase : public MessagePath<P> {
     const uint32_t first_vb = partition.FirstVblockOf(node.id);
     const uint32_t last_vb = partition.LastVblockOf(node.id);
     std::vector<uint32_t>& candidates = serve.candidates;
+    VeBlockStore::ScanResult scan;
     for (const uint32_t target_vb : serve.targets) {
       const VertexRange dst_range = partition.VblockRange(target_vb);
       serve.group_of.assign(dst_range.size(), -1);
@@ -297,10 +301,6 @@ class BlockPathBase : public MessagePath<P> {
                                   node.pipeline.get());
         }
 
-        // A fresh scan per Eblock: reusing nested fragment capacity across
-        // Eblocks retains the sum of per-position maxima, which measured
-        // worse peak RSS on the serve workload than the allocations cost.
-        VeBlockStore::ScanResult scan;
         HG_RETURN_IF_ERROR(
             node.ve->ScanEblock(vb, target_vb, &scan, node.pipeline.get()));
         serve.io.eblock_edge_bytes += scan.edge_bytes;
@@ -315,39 +315,35 @@ class BlockPathBase : public MessagePath<P> {
 
         // IO(V_rr): one unmetered ranged read of the responding source span
         // of Vblock vb serves the Eblock; the model is still charged one
-        // random record read per responding fragment.
-        const VertexRange src_range = partition.VblockRange(vb);
+        // random record read per responding fragment. Both passes walk the
+        // same bytes; the walker has checked a run against the cell before
+        // it yields it.
         uint64_t responding = 0;
-        VertexId lo = src_range.end;
-        VertexId hi = src_range.begin;
-        for (const auto& frag : scan.fragments) {
-          if (!src_range.Contains(frag.src)) {
-            return Status::Corruption(
-                "Eblock fragment source outside its Vblock");
-          }
-          if (!node.responding[node.LocalIdx(frag.src)]) continue;
+        VertexId lo = scan.src.end;
+        VertexId hi = scan.src.begin;
+        EdgeRunWalker runs = scan.Walk();
+        for (EdgeRun run; runs.Next(&run);) {
+          if (!node.responding[node.LocalIdx(run.src)]) continue;
           ++responding;
-          lo = std::min(lo, frag.src);
-          hi = std::max(hi, frag.src);
+          lo = std::min(lo, run.src);
+          hi = std::max(hi, run.src);
         }
+        HG_RETURN_IF_ERROR(runs.status());
         if (responding == 0) continue;
         HG_RETURN_IF_ERROR(
             node.vstore->ReadRecordSpan(lo, hi, responding, &serve.records));
         serve.io.vrr_bytes += responding * record_size;
 
-        for (const auto& frag : scan.fragments) {
-          if (!node.responding[node.LocalIdx(frag.src)]) continue;
+        runs = scan.Walk();
+        for (EdgeRun run; runs.Next(&run);) {
+          if (!node.responding[node.LocalIdx(run.src)]) continue;
           const Value value = PodCodec<Value>::Decode(
-              serve.records.data() + (frag.src - lo) * record_size + 8);
-          const uint32_t out_degree = node.vstore->OutDegree(frag.src);
+              serve.records.data() + (run.src - lo) * record_size + 8);
+          const uint32_t out_degree = node.vstore->OutDegree(run.src);
 
-          for (const auto& e : frag.edges) {
-            if (!dst_range.Contains(e.dst)) {
-              return Status::Corruption(
-                  "Eblock edge outside its target Vblock");
-            }
+          for (const Edge e : run.edges) {
             const Message m = driver_->program().GenMessage(
-                frag.src, value, out_degree, e, gen_ctx);
+                run.src, value, out_degree, e, gen_ctx);
             ++produced;
             serve.cpu_seconds += config.cpu.per_message_s;
             int64_t& gi = serve.group_of[e.dst - dst_range.begin];

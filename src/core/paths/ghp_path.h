@@ -28,6 +28,7 @@
 
 #include "core/paths/push_path.h"
 #include "core/trace.h"
+#include "graph/edge_runs.h"
 #include "util/failpoint.h"
 #include "util/record_slab.h"
 
@@ -111,10 +112,15 @@ class GhpPath : public PushPath<P> {
       HG_RETURN_IF_ERROR(node.ve->ScanInner(vb, &scan, node.pipeline.get()));
       node.io.eblock_edge_bytes += scan.edge_bytes;
       node.io.fragment_aux_bytes += scan.aux_bytes;
-      std::vector<int32_t> frag_of(r.size(), -1);
-      for (size_t f = 0; f < scan.fragments.size(); ++f) {
-        frag_of[scan.fragments[f].src - r.begin] = static_cast<int32_t>(f);
+      // Byte offset of each vertex's run in the sidecar. The walk checks
+      // every run's source and destinations against the Vblock first.
+      constexpr size_t kNoRun = SIZE_MAX;
+      std::vector<size_t> run_at(r.size(), kNoRun);
+      EdgeRunWalker runs = scan.Walk();
+      for (EdgeRun run; runs.Next(&run);) {
+        run_at[run.src - r.begin] = run.offset;
       }
+      HG_RETURN_IF_ERROR(runs.status());
 
       RecordSlab carry(P::kMessageSize);
       uint64_t depth = 0;
@@ -123,16 +129,16 @@ class GhpPath : public PushPath<P> {
         std::map<VertexId, std::vector<Message>> local;  // inner dsts, ordered
         uint64_t produced = 0;
         for (VertexId v : current) {
-          const int32_t f = frag_of[v - r.begin];
-          if (f < 0) continue;
+          if (run_at[v - r.begin] == kNoRun) continue;
           const Value value = PodCodec<Value>::Decode(
               values.data() + static_cast<size_t>(v - r.begin) * P::kValueSize);
           const uint32_t out_degree = node.vstore->OutDegree(v);
-          const auto& frag = scan.fragments[static_cast<size_t>(f)];
+          const EdgeSpan edges =
+              RunAt(Slice(scan.blob), run_at[v - r.begin]).edges;
           node.cpu_seconds +=
-              config.cpu.per_edge_s * static_cast<double>(frag.edges.size());
-          node.edges_scanned += frag.edges.size();
-          for (const Edge& e : frag.edges) {
+              config.cpu.per_edge_s * static_cast<double>(edges.size());
+          node.edges_scanned += edges.size();
+          for (const Edge e : edges) {
             const Message m = this->driver_->program().GenMessage(
                 v, value, out_degree, e, this->driver_->ctx());
             node.cpu_seconds += config.cpu.per_message_s;

@@ -52,7 +52,8 @@ void TraceCollector::AddSpan(const char* name, int superstep, int node,
   if (!enabled_) return;
   std::lock_guard<std::mutex> lock(mu_);
   events_.push_back(Event{name, superstep, node, start_us,
-                          end_us >= start_us ? end_us - start_us : 0, mode});
+                          end_us >= start_us ? end_us - start_us : 0, mode,
+                          false, {}});
 }
 
 void TraceCollector::AddSteadySpan(const char* name, int superstep, int node,
@@ -69,10 +70,7 @@ void TraceCollector::AddInstant(const char* name, int superstep, int node,
                                 EngineMode mode, const std::string& detail) {
   if (!enabled_) return;
   std::lock_guard<std::mutex> lock(mu_);
-  Event e{name, superstep, node, NowUs(), 0, mode};
-  e.instant = true;
-  e.detail = detail;
-  events_.push_back(std::move(e));
+  events_.push_back({name, superstep, node, NowUs(), 0, mode, true, detail});
 }
 
 size_t TraceCollector::num_events() const {

@@ -1,9 +1,8 @@
 #include "graph/adjacency_store.h"
 
-#include <algorithm>
+#include <map>
+#include <numeric>
 
-#include "util/codec.h"
-#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace hybridgraph {
@@ -27,69 +26,59 @@ Result<std::unique_ptr<AdjacencyStore>> AdjacencyStore::Build(
       new AdjacencyStore(storage, partition, node));
   const VertexRange node_range = partition.NodeRange(node);
 
-  // Bucket out-edges per local vertex.
-  std::vector<std::vector<Edge>> adj(node_range.size());
+  // A stable counting sort by source: each vertex's out-edges end up
+  // contiguous, in input order.
+  std::vector<uint64_t> start(size_t{node_range.size()} + 1, 0);
   for (const auto& e : local_edges) {
     if (!node_range.Contains(e.src)) {
       return Status::InvalidArgument("edge with non-local source in Build");
     }
-    adj[e.src - node_range.begin].push_back({e.dst, e.weight});
+    ++start[e.src - node_range.begin + 1];
+  }
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  std::vector<Edge> by_src(local_edges.size());
+  {
+    std::vector<uint64_t> next(start.begin(), start.end() - 1);
+    for (const auto& e : local_edges) {
+      by_src[next[e.src - node_range.begin]++] = {e.dst, e.weight};
+    }
   }
 
   const uint32_t first_vb = partition.FirstVblockOf(node);
   const uint32_t last_vb = partition.LastVblockOf(node);
-  store->block_bytes_.resize(last_vb - first_vb, 0);
-  store->block_edges_.resize(last_vb - first_vb, 0);
+  store->blocks_.resize(last_vb - first_vb);
 
+  std::vector<uint8_t> block;
   for (uint32_t vb = first_vb; vb < last_vb; ++vb) {
     const VertexRange r = partition.VblockRange(vb);
-    Buffer buf;
-    Encoder enc(&buf);
-    uint64_t edges = 0;
+    EdgeRunWriter writer(&block);
     for (VertexId v = r.begin; v < r.end; ++v) {
-      const auto& out = adj[v - node_range.begin];
-      enc.PutFixed32(v);
-      enc.PutVarint64(out.size());
-      for (const auto& edge : out) {
-        enc.PutFixed32(edge.dst);
-        enc.PutFloat(edge.weight);
-      }
-      edges += out.size();
+      const uint64_t first = start[v - node_range.begin];
+      writer.AddRun(v, start[v - node_range.begin + 1] - first,
+                    [&](uint64_t i) { return by_src[first + i]; });
     }
     HG_RETURN_IF_ERROR(
-        storage->Write(store->BlockKey(vb), buf.AsSlice(), IoClass::kSeqWrite));
-    store->block_bytes_[vb - first_vb] = buf.size();
-    store->block_edges_[vb - first_vb] = edges;
+        storage->Write(store->BlockKey(vb), Slice(block), IoClass::kSeqWrite));
+    store->blocks_[vb - first_vb] = writer.index();
   }
   return store;
 }
 
 Status AdjacencyStore::ReadBlock(uint32_t global_vb,
-                                 std::vector<VertexAdj>* out,
+                                 std::vector<uint8_t>* block,
                                  ReadPipeline* pipeline) {
   const std::string key = BlockKey(global_vb);
   const ReadOptions opts{.io_class = IoClass::kSeqRead};
   auto read = pipeline ? pipeline->Fetch(key, opts) : storage_->Read(key, opts);
   if (!read.ok()) return read.status();
-  const std::vector<uint8_t>& raw = read->data;
-  const VertexRange r = partition_->VblockRange(global_vb);
-  Decoder dec{Slice(raw)};
-  out->clear();
-  out->reserve(r.size());
-  for (uint32_t i = 0; i < r.size(); ++i) {
-    VertexAdj va;
-    uint64_t count;
-    HG_RETURN_IF_ERROR(dec.GetFixed32(&va.id));
-    HG_RETURN_IF_ERROR(dec.GetVarint64(&count));
-    va.out.resize(count);
-    for (uint64_t k = 0; k < count; ++k) {
-      HG_RETURN_IF_ERROR(dec.GetFixed32(&va.out[k].dst));
-      HG_RETURN_IF_ERROR(dec.GetFloat(&va.out[k].weight));
-    }
-    out->push_back(std::move(va));
-  }
-  if (!dec.AtEnd()) return Status::Corruption("trailing bytes in adjacency block");
+  *block = std::move(read->data);
   return Status::OK();
+}
+
+EdgeRunWalker AdjacencyStore::Walk(uint32_t global_vb, Slice block) const {
+  return EdgeRunWalker::Adjacency(
+      block, partition_->VblockRange(global_vb),
+      {0, static_cast<VertexId>(partition_->num_vertices())});
 }
 
 void AdjacencyStore::PrefetchBlock(uint32_t global_vb, ReadPipeline* pipeline) {
@@ -110,65 +99,39 @@ Status AdjacencyStore::ApplyBatch(const std::vector<EdgeDelta>& deltas,
     }
     grouped[partition_->VblockOf(d.src)].push_back(d);
   }
-  std::vector<VertexAdj> block;
+  std::vector<uint8_t> block;
+  std::vector<uint8_t> merged;
   for (auto& [vb, entries] : grouped) {
     HG_RETURN_IF_ERROR(ReadBlock(vb, &block, nullptr));
-    const VertexRange r = partition_->VblockRange(vb);
-    for (const auto& d : entries) {
-      VertexAdj& va = block[d.src - r.begin];
-      if (d.is_delete) {
-        const size_t before = va.out.size();
-        va.out.erase(std::remove_if(va.out.begin(), va.out.end(),
-                                    [&](const Edge& e) {
-                                      return e.dst == d.dst;
-                                    }),
-                     va.out.end());
-        const size_t removed = before - va.out.size();
-        if (removed > 0 && degree_delta != nullptr) {
-          (*degree_delta)[d.src] -= static_cast<int64_t>(removed);
-        }
-      } else {
-        va.out.push_back({d.dst, d.weight});
-        if (degree_delta != nullptr) (*degree_delta)[d.src] += 1;
-      }
-    }
-    Buffer buf;
-    Encoder enc(&buf);
-    uint64_t edges = 0;
-    for (const auto& va : block) {
-      enc.PutFixed32(va.id);
-      enc.PutVarint64(va.out.size());
-      for (const auto& edge : va.out) {
-        enc.PutFixed32(edge.dst);
-        enc.PutFloat(edge.weight);
-      }
-      edges += va.out.size();
-    }
+    EdgeRunWriter writer(&merged);
+    HG_RETURN_IF_ERROR(MergeEdgeRuns(Walk(vb, Slice(block)), entries,
+                                     /*keep_empty=*/true, &writer,
+                                     degree_delta, nullptr));
     HG_RETURN_IF_ERROR(
-        storage_->Write(BlockKey(vb), buf.AsSlice(), IoClass::kSeqWrite));
-    block_bytes_[LocalVb(vb)] = buf.size();
-    block_edges_[LocalVb(vb)] = edges;
+        storage_->Write(BlockKey(vb), Slice(merged), IoClass::kSeqWrite));
+    blocks_[LocalVb(vb)] = writer.index();
   }
   return Status::OK();
 }
 
 uint64_t AdjacencyStore::BlockBytes(uint32_t global_vb) const {
-  return block_bytes_[LocalVb(global_vb)];
+  const EblockIndex& b = blocks_[LocalVb(global_vb)];
+  return b.aux_bytes + b.edge_bytes;
 }
 
 uint64_t AdjacencyStore::BlockEdges(uint32_t global_vb) const {
-  return block_edges_[LocalVb(global_vb)];
+  return blocks_[LocalVb(global_vb)].num_edges;
 }
 
 uint64_t AdjacencyStore::TotalBytes() const {
   uint64_t t = 0;
-  for (auto b : block_bytes_) t += b;
+  for (const EblockIndex& b : blocks_) t += b.aux_bytes + b.edge_bytes;
   return t;
 }
 
 uint64_t AdjacencyStore::TotalEdges() const {
   uint64_t t = 0;
-  for (auto e : block_edges_) t += e;
+  for (const EblockIndex& b : blocks_) t += b.num_edges;
   return t;
 }
 

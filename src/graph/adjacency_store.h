@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "graph/edge_delta.h"
+#include "graph/edge_runs.h"
 #include "graph/partition.h"
 #include "graph/types.h"
 #include "io/prefetch.h"
@@ -21,23 +22,21 @@ namespace hybridgraph {
 
 class AdjacencyStore {
  public:
-  /// Out-edge list of one vertex as decoded from a block scan.
-  struct VertexAdj {
-    VertexId id;
-    std::vector<Edge> out;
-  };
-
   /// Builds the store from this node's local edges (must all have a local
   /// source). Edges need not be pre-sorted.
   static Result<std::unique_ptr<AdjacencyStore>> Build(
       StorageService* storage, const RangePartition& partition, NodeId node,
       const std::vector<RawEdge>& local_edges);
 
-  /// Sequentially scans one adjacency block (metered kSeqRead). Vertices with
-  /// no out-edges still appear with an empty list. A non-null `pipeline`
-  /// serves the read through the prefetcher.
-  Status ReadBlock(uint32_t global_vb, std::vector<VertexAdj>* out,
+  /// Sequentially reads one adjacency block's bytes (metered kSeqRead). A
+  /// non-null `pipeline` serves the read through the prefetcher.
+  Status ReadBlock(uint32_t global_vb, std::vector<uint8_t>* block,
                    ReadPipeline* pipeline = nullptr);
+
+  /// Walks the runs of a block ReadBlock returned: one per vertex of the
+  /// Vblock in id order (empty lists included), every destination an
+  /// existing vertex.
+  EdgeRunWalker Walk(uint32_t global_vb, Slice block) const;
 
   /// Stages a background read of a block for a later ReadBlock. No-op on a
   /// null/disabled pipeline.
@@ -69,8 +68,7 @@ class AdjacencyStore {
   StorageService* storage_;
   const RangePartition* partition_;
   NodeId node_;
-  std::vector<uint64_t> block_bytes_;  // indexed by local vblock
-  std::vector<uint64_t> block_edges_;
+  std::vector<EblockIndex> blocks_;  // runs written, per local vblock
 };
 
 }  // namespace hybridgraph

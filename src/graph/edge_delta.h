@@ -18,6 +18,7 @@
 
 #include "graph/edge_list.h"
 #include "graph/types.h"
+#include "util/codec.h"
 #include "util/status.h"
 
 namespace hybridgraph {
@@ -62,6 +63,14 @@ struct EdgeBatch {
 /// Rejects deltas whose endpoints fall outside [0, num_vertices) — the
 /// partition is fixed at load time, so streaming cannot grow the vertex set.
 Status ValidateBatch(uint64_t num_vertices, const EdgeBatch& batch);
+
+/// The delta list encoding shared by INGEST requests and the overlay's delta
+/// runs: varint count, then per delta u8 flags (bit 0 = delete) + fixed32
+/// src + fixed32 dst + float weight (13 bytes).
+void EncodeDeltas(const std::vector<EdgeDelta>& deltas, Encoder* enc);
+/// Appends one encoded list to `*out`, leaving `dec` just past it. A count
+/// the remaining bytes cannot hold is Corruption.
+Status DecodeDeltas(Decoder* dec, std::vector<EdgeDelta>* out);
 
 /// Applies a batch to an in-memory edge list (the cold-run oracle the epoch
 /// differential tests compare against). Deltas apply in batch order; deletes

@@ -117,13 +117,18 @@ std::vector<uint8_t> EncodeEdgeListBinary(const EdgeListGraph& graph) {
 
 Result<EdgeListGraph> DecodeEdgeListBinary(const std::vector<uint8_t>& bytes) {
   Decoder dec{Slice(bytes)};
-  uint32_t magic;
+  uint32_t magic = 0;
   HG_RETURN_IF_ERROR(dec.GetFixed32(&magic));
   if (magic != kBinaryMagic) return Status::Corruption("bad edge list magic");
   EdgeListGraph g;
-  uint64_t num_edges;
+  uint64_t num_edges = 0;
   HG_RETURN_IF_ERROR(dec.GetFixed64(&g.num_vertices));
   HG_RETURN_IF_ERROR(dec.GetFixed64(&num_edges));
+  // An edge is exactly 12 bytes, so a count the rest cannot hold is corrupt
+  // (and must not reach reserve()).
+  if (num_edges > dec.remaining() / 12) {
+    return Status::Corruption("edge count exceeds edge list size");
+  }
   g.edges.reserve(num_edges);
   for (uint64_t i = 0; i < num_edges; ++i) {
     RawEdge e;

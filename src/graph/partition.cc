@@ -8,14 +8,14 @@ namespace hybridgraph {
 
 namespace {
 
-// Cuts [begin, end) into `parts` contiguous pieces by weight prefix sum:
-// each cut targets the ceiling of the remaining weight over the remaining
-// parts, clamped so every part keeps >= 1 vertex while vertices last (the
-// tail parts go empty only when the range runs out, matching Create()).
-// With uniform weights this reduces to ceil-of-remaining vertex counts,
-// which is exactly Create()'s extras-to-the-first-nodes layout.
-std::vector<uint64_t> SplitByWeight(const std::vector<uint64_t>& prefix,
-                                    uint64_t begin, uint64_t end,
+// Cuts [begin, end) into `parts` contiguous pieces by weight prefix sum
+// (`at(v)` is the weight of vertices [0, v)): each cut targets the ceiling
+// of the remaining weight over the remaining parts, clamped so every part
+// keeps >= 1 vertex while vertices last (the tail parts go empty only when
+// the range runs out). With unit weights this is ceil-of-remaining vertex
+// counts: sizes differ by at most one, the extras going to the first parts.
+template <typename At>
+std::vector<uint64_t> SplitByWeight(const At& at, uint64_t begin, uint64_t end,
                                     uint32_t parts) {
   std::vector<uint64_t> bounds(parts + 1);
   bounds[0] = begin;
@@ -27,15 +27,20 @@ std::vector<uint64_t> SplitByWeight(const std::vector<uint64_t>& prefix,
     if (verts_left <= parts_left) {
       next = cur + (verts_left > 0 ? 1 : 0);
     } else {
-      const uint64_t weight_left = prefix[end] - prefix[cur];
+      const uint64_t weight_left = at(end) - at(cur);
       const uint64_t target =
-          prefix[cur] + (weight_left + parts_left - 1) / parts_left;
-      next = static_cast<uint64_t>(
-          std::lower_bound(prefix.begin() + static_cast<ptrdiff_t>(cur) + 1,
-                           prefix.begin() + static_cast<ptrdiff_t>(end),
-                           target) -
-          prefix.begin());
-      next = std::min(next, end - (parts_left - 1));
+          at(cur) + (weight_left + parts_left - 1) / parts_left;
+      // The first v in (cur, end) with at(v) >= target, else end.
+      uint64_t lo = cur + 1, hi = end;
+      while (lo < hi) {
+        const uint64_t mid = lo + (hi - lo) / 2;
+        if (at(mid) < target) {
+          lo = mid + 1;
+        } else {
+          hi = mid;
+        }
+      }
+      next = std::min(lo, end - (parts_left - 1));
       next = std::max(next, cur + 1);
     }
     bounds[i] = next;
@@ -47,9 +52,10 @@ std::vector<uint64_t> SplitByWeight(const std::vector<uint64_t>& prefix,
 
 }  // namespace
 
-Result<RangePartition> RangePartition::Create(
+Result<RangePartition> RangePartition::Split(
     uint64_t num_vertices, uint32_t num_nodes,
-    std::vector<uint32_t> vblocks_per_node) {
+    const std::vector<uint32_t>& vblocks_per_node,
+    const std::vector<uint64_t>* prefix) {
   if (num_nodes == 0) return Status::InvalidArgument("need at least one node");
   if (vblocks_per_node.size() != num_nodes) {
     return Status::InvalidArgument("vblocks_per_node size != num_nodes");
@@ -60,82 +66,14 @@ Result<RangePartition> RangePartition::Create(
   for (uint32_t vb : vblocks_per_node) {
     if (vb == 0) return Status::InvalidArgument("every node needs >=1 Vblock");
   }
-
-  RangePartition p;
-  p.num_vertices_ = num_vertices;
-  p.num_nodes_ = num_nodes;
-
-  // Per-node contiguous ranges, sizes differing by at most one.
-  p.node_begin_.resize(num_nodes + 1);
-  const uint64_t base = num_vertices / num_nodes;
-  const uint64_t extra = num_vertices % num_nodes;
-  uint64_t cursor = 0;
-  for (uint32_t i = 0; i < num_nodes; ++i) {
-    p.node_begin_[i] = static_cast<VertexId>(cursor);
-    cursor += base + (i < extra ? 1 : 0);
-  }
-  p.node_begin_[num_nodes] = static_cast<VertexId>(cursor);
-
-  // Per-node Vblock subranges.
-  p.node_first_vblock_.resize(num_nodes + 1);
-  uint32_t vb_count = 0;
-  for (uint32_t i = 0; i < num_nodes; ++i) {
-    p.node_first_vblock_[i] = vb_count;
-    vb_count += vblocks_per_node[i];
-  }
-  p.node_first_vblock_[num_nodes] = vb_count;
-
-  p.vblock_begin_.resize(vb_count + 1);
-  p.vblock_node_.resize(vb_count);
-  uint32_t vb = 0;
-  for (uint32_t i = 0; i < num_nodes; ++i) {
-    const uint64_t n_i = p.node_begin_[i + 1] - p.node_begin_[i];
-    const uint32_t k = vblocks_per_node[i];
-    const uint64_t vb_base = n_i / k;
-    const uint64_t vb_extra = n_i % k;
-    uint64_t c = p.node_begin_[i];
-    for (uint32_t j = 0; j < k; ++j, ++vb) {
-      p.vblock_begin_[vb] = static_cast<VertexId>(c);
-      p.vblock_node_[vb] = i;
-      c += vb_base + (j < vb_extra ? 1 : 0);
-    }
-  }
-  p.vblock_begin_[vb_count] = static_cast<VertexId>(num_vertices);
-  return p;
-}
-
-Result<RangePartition> RangePartition::CreateDegreeBalanced(
-    uint64_t num_vertices, uint32_t num_nodes,
-    std::vector<uint32_t> vblocks_per_node,
-    const std::vector<uint32_t>& out_degrees) {
-  if (num_nodes == 0) return Status::InvalidArgument("need at least one node");
-  if (vblocks_per_node.size() != num_nodes) {
-    return Status::InvalidArgument("vblocks_per_node size != num_nodes");
-  }
-  if (num_vertices > UINT32_MAX) {
-    return Status::InvalidArgument("vertex id space exceeds 32 bits");
-  }
-  if (out_degrees.size() != num_vertices) {
-    return Status::InvalidArgument("out_degrees size != num_vertices");
-  }
-  for (uint32_t vb : vblocks_per_node) {
-    if (vb == 0) return Status::InvalidArgument("every node needs >=1 Vblock");
-  }
-
-  // Weight = out_degree + 1: the +1 spreads zero-degree tails over nodes
-  // instead of lumping them into the last range, and makes regular graphs
-  // degenerate to Create()'s vertex-count split.
-  std::vector<uint64_t> prefix(num_vertices + 1, 0);
-  for (uint64_t v = 0; v < num_vertices; ++v) {
-    prefix[v + 1] = prefix[v] + out_degrees[v] + 1;
-  }
+  const auto at = [prefix](uint64_t v) { return prefix ? (*prefix)[v] : v; };
 
   RangePartition p;
   p.num_vertices_ = num_vertices;
   p.num_nodes_ = num_nodes;
 
   const std::vector<uint64_t> node_bounds =
-      SplitByWeight(prefix, 0, num_vertices, num_nodes);
+      SplitByWeight(at, 0, num_vertices, num_nodes);
   p.node_begin_.resize(num_nodes + 1);
   for (uint32_t i = 0; i <= num_nodes; ++i) {
     p.node_begin_[i] = static_cast<VertexId>(node_bounds[i]);
@@ -154,7 +92,7 @@ Result<RangePartition> RangePartition::CreateDegreeBalanced(
   uint32_t vb = 0;
   for (uint32_t i = 0; i < num_nodes; ++i) {
     const std::vector<uint64_t> vb_bounds = SplitByWeight(
-        prefix, node_bounds[i], node_bounds[i + 1], vblocks_per_node[i]);
+        at, node_bounds[i], node_bounds[i + 1], vblocks_per_node[i]);
     for (uint32_t j = 0; j < vblocks_per_node[i]; ++j, ++vb) {
       p.vblock_begin_[vb] = static_cast<VertexId>(vb_bounds[j]);
       p.vblock_node_[vb] = i;
@@ -162,6 +100,29 @@ Result<RangePartition> RangePartition::CreateDegreeBalanced(
   }
   p.vblock_begin_[vb_count] = static_cast<VertexId>(num_vertices);
   return p;
+}
+
+Result<RangePartition> RangePartition::Create(
+    uint64_t num_vertices, uint32_t num_nodes,
+    std::vector<uint32_t> vblocks_per_node) {
+  return Split(num_vertices, num_nodes, vblocks_per_node, nullptr);
+}
+
+Result<RangePartition> RangePartition::CreateDegreeBalanced(
+    uint64_t num_vertices, uint32_t num_nodes,
+    std::vector<uint32_t> vblocks_per_node,
+    const std::vector<uint32_t>& out_degrees) {
+  if (out_degrees.size() != num_vertices) {
+    return Status::InvalidArgument("out_degrees size != num_vertices");
+  }
+  // Weight = out_degree + 1: the +1 spreads zero-degree tails over nodes
+  // instead of lumping them into the last range, and makes regular graphs
+  // degenerate to Create()'s vertex-count split.
+  std::vector<uint64_t> prefix(num_vertices + 1, 0);
+  for (uint64_t v = 0; v < num_vertices; ++v) {
+    prefix[v + 1] = prefix[v] + out_degrees[v] + 1;
+  }
+  return Split(num_vertices, num_nodes, vblocks_per_node, &prefix);
 }
 
 Result<RangePartition> RangePartition::CreateUniform(uint64_t num_vertices,

@@ -68,6 +68,14 @@ class RangePartition {
   RangePartition() = default;
 
  private:
+  /// The body of Create and CreateDegreeBalanced: cuts the node ranges, then
+  /// each node's Vblocks, by the weight prefix sum `prefix` (prefix[v] is the
+  /// weight of vertices [0, v)); null means unit weights.
+  static Result<RangePartition> Split(
+      uint64_t num_vertices, uint32_t num_nodes,
+      const std::vector<uint32_t>& vblocks_per_node,
+      const std::vector<uint64_t>* prefix);
+
   uint64_t num_vertices_ = 0;
   uint32_t num_nodes_ = 0;
   std::vector<VertexId> node_begin_;        // size num_nodes+1

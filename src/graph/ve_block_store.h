@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/edge_runs.h"
 #include "graph/partition.h"
 #include "graph/types.h"
 #include "io/prefetch.h"
@@ -35,46 +36,30 @@ struct VblockMeta {
   std::vector<bool> edge_bitmap;  ///< bit i: Eblock g_{j,i} is non-empty
 };
 
+/// The immutable base layout. VeBlockOverlay (ve_block_overlay.h) extends
+/// it with delta runs and keeps every table below current under mutation.
 class VeBlockStore {
  public:
-  /// One decoded fragment: all edges of one source vertex into one Vblock.
-  struct Fragment {
-    VertexId src;
-    std::vector<Edge> edges;
-  };
+  using EblockIndex = ::hybridgraph::EblockIndex;
 
-  /// Result of scanning one Eblock, with the byte split the cost model needs:
-  /// fragment auxiliary data (IO(F)) vs edge payload (IO(E)).
+  virtual ~VeBlockStore() = default;
+
+  /// One scanned fragment blob, with the ranges its runs must respect and
+  /// the byte split the cost model needs: fragment auxiliary data (IO(F))
+  /// vs edge payload (IO(E)).
   struct ScanResult {
-    std::vector<Fragment> fragments;
+    std::vector<uint8_t> blob;  ///< empty when the cell holds no edges
+    VertexRange src;            ///< every run's source lies here
+    VertexRange dst;            ///< every edge's destination lies here
     uint64_t aux_bytes = 0;
     uint64_t edge_bytes = 0;
-  };
 
-  /// Static per-Eblock index entry (available without I/O).
-  struct EblockIndex {
-    uint32_t num_fragments = 0;
-    uint64_t aux_bytes = 0;
-    uint64_t edge_bytes = 0;
-    uint64_t num_edges = 0;
-
-    uint64_t total_bytes() const {
-      // +1 for the fragment-count varint written even when empty? Empty
-      // Eblocks are not stored at all, so zero entries really are zero bytes.
-      return num_fragments == 0 ? 0 : aux_bytes + edge_bytes;
+    /// Walks the runs, checking each against `src` and `dst`.
+    EdgeRunWalker Walk() const {
+      return blob.empty() ? EdgeRunWalker()
+                          : EdgeRunWalker::Fragments(Slice(blob), src, dst);
     }
   };
-
-  /// The one fragment-blob decoder (Eblocks, sidecars, compacted overlay
-  /// bases), reusing the capacity of `*out` and its edge vectors. Counts the
-  /// blob cannot hold, truncation and trailing bytes are Corruption.
-  static Status DecodeFragments(Slice blob, std::vector<Fragment>* out);
-
-  /// Reads (one metered kSeqRead, via `pipeline` when non-null) and decodes
-  /// the fragment blob at `key` described by `idx`; empty `idx`, no read.
-  static Status ScanFragmentBlob(StorageService* storage,
-                                 ReadPipeline* pipeline, const std::string& key,
-                                 const EblockIndex& idx, ScanResult* out);
 
   /// Builds Eblocks + metadata from this node's local edges.
   ///
@@ -87,14 +72,29 @@ class VeBlockStore {
 
   /// Sequentially scans Eblock g_{src_vb, dst_vb} (metered kSeqRead; the
   /// whole block is read — the paper notes useless edges in a block are
-  /// still scanned). Returns NotFound-free empty result for empty Eblocks.
+  /// still scanned). Returns NotFound-free empty result for empty Eblocks;
+  /// the result walks only runs inside Vblock src_vb with edges into dst_vb.
   /// A non-null `pipeline` serves the read through the prefetcher.
-  Status ScanEblock(uint32_t src_vb, uint32_t dst_vb, ScanResult* out,
-                    ReadPipeline* pipeline = nullptr);
+  virtual Status ScanEblock(uint32_t src_vb, uint32_t dst_vb, ScanResult* out,
+                            ReadPipeline* pipeline = nullptr);
 
   /// Stages a background read of Eblock g_{src_vb, dst_vb} for a later
   /// ScanEblock. No-op on a null/disabled pipeline or an empty Eblock.
-  void PrefetchEblock(uint32_t src_vb, uint32_t dst_vb, ReadPipeline* pipeline);
+  virtual void PrefetchEblock(uint32_t src_vb, uint32_t dst_vb,
+                              ReadPipeline* pipeline);
+
+  /// Scans the inner-adjacency sidecar of a local Vblock: a standalone copy
+  /// of the diagonal cell g_{j,j} (every intra-Vblock edge) under its own
+  /// key, so local sub-iterations never touch the Eblock grid. Same
+  /// encoding, metering (one kSeqRead) and byte split as ScanEblock; its
+  /// runs lie inside the Vblock at both ends.
+  Status ScanInner(uint32_t global_vb, ScanResult* out,
+                   ReadPipeline* pipeline = nullptr);
+
+  /// Storage keys of Eblock g_{src_vb, dst_vb} and of a Vblock's inner
+  /// sidecar (the overlay rewrites both in place).
+  std::string EblockKey(uint32_t src_vb, uint32_t dst_vb) const;
+  std::string InnerKey(uint32_t global_vb) const;
 
   /// Index of the inner sidecar blob (not part of the grid totals).
   const EblockIndex& InnerIndex(uint32_t global_vb) const {
@@ -107,10 +107,6 @@ class VeBlockStore {
     const uint32_t li = v - range_begin_;
     return cross_in_[li] + cross_out_[li] > 0;
   }
-  /// Cross-Vblock out-/in-edge counts per local vertex (index: v - range
-  /// begin). Exposed so the overlay can seed its mutable copy.
-  const std::vector<uint64_t>& CrossOutCounts() const { return cross_out_; }
-  const std::vector<uint64_t>& CrossInCounts() const { return cross_in_; }
   /// Local vertex v's cross-Vblock out-edge count (0 for inner vertices).
   uint64_t CrossOutDegree(VertexId v) const {
     return cross_out_[v - range_begin_];
@@ -132,12 +128,21 @@ class VeBlockStore {
   uint64_t TotalAuxBytes() const { return total_aux_bytes_; }
   uint64_t TotalBytes() const { return total_edge_bytes_ + total_aux_bytes_; }
 
- private:
+ protected:
   VeBlockStore(StorageService* storage, const RangePartition& partition,
                NodeId node);
 
-  std::string EblockKey(uint32_t src_vb, uint32_t dst_vb) const;
-  std::string InnerKey(uint32_t global_vb) const;
+  /// Writes the Eblocks and sidecars of `local_edges` and fills the tables.
+  Status Load(const std::vector<RawEdge>& local_edges,
+              const std::vector<uint32_t>& in_degrees);
+
+  /// Reads (one metered kSeqRead, via `pipeline` when non-null) the fragment
+  /// blob at `key` described by `idx`, whose runs must lie in `src` x `dst`;
+  /// empty `idx`, no read.
+  Status ScanFragmentBlob(ReadPipeline* pipeline, const std::string& key,
+                          const EblockIndex& idx, VertexRange src,
+                          VertexRange dst, ScanResult* out);
+
   uint32_t LocalVb(uint32_t global_vb) const {
     return global_vb - first_vb_;
   }

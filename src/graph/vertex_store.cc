@@ -41,21 +41,16 @@ Result<std::unique_ptr<VertexValueStore>> VertexValueStore::Build(
 
 Status VertexValueStore::WriteInitValues(
     const std::function<void(VertexId, uint8_t*)>& init) {
-  std::vector<uint8_t> value(value_size_);
+  std::vector<uint8_t> values;
   for (uint32_t vb = partition_->FirstVblockOf(node_);
        vb < partition_->LastVblockOf(node_); ++vb) {
     const VertexRange r = partition_->VblockRange(vb);
-    Buffer buf;
-    Encoder enc(&buf);
+    values.resize(static_cast<size_t>(r.size()) * value_size_);
     for (VertexId v = r.begin; v < r.end; ++v) {
-      init(v, value.data());
-      enc.PutFixed32(v);
-      enc.PutFixed32(out_degrees_[v - node_range_.begin]);
-      enc.PutRaw(value.data(), value.size());
+      init(v, values.data() + static_cast<size_t>(v - r.begin) * value_size_);
     }
     // A bulk sequential write of the whole block.
-    HG_RETURN_IF_ERROR(
-        storage_->Write(BlockKey(vb), buf.AsSlice(), IoClass::kSeqWrite));
+    HG_RETURN_IF_ERROR(WriteBlock(vb, values, IoClass::kSeqWrite));
   }
   return Status::OK();
 }

@@ -296,32 +296,28 @@ std::string FileStorage::PathFor(const std::string& key) const {
 }
 
 Status FileStorage::Write(const std::string& key, Slice data, IoClass cls) {
-  HG_FAIL_POINT("storage.write");
-  std::lock_guard<std::recursive_mutex> lock(mutex_);
-  const std::string path = PathFor(key);
-  std::error_code ec;
-  fs::create_directories(fs::path(path).parent_path(), ec);
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) return Status::IoError("cannot open for write: " + path);
-  f.write(reinterpret_cast<const char*>(data.data()),
-          static_cast<std::streamsize>(data.size()));
-  if (!f) return Status::IoError("write failed: " + path);
-  MeterWrite(key, data.size(), data.size(), cls);
-  return Status::OK();
+  return WriteFile(key, data, cls, /*append=*/false);
 }
 
 Status FileStorage::Append(const std::string& key, Slice data, IoClass cls) {
+  return WriteFile(key, data, cls, /*append=*/true);
+}
+
+Status FileStorage::WriteFile(const std::string& key, Slice data, IoClass cls,
+                              bool append) {
   HG_FAIL_POINT("storage.write");
   std::lock_guard<std::recursive_mutex> lock(mutex_);
   const std::string path = PathFor(key);
+  const std::string what = append ? "append" : "write";
   std::error_code ec;
   fs::create_directories(fs::path(path).parent_path(), ec);
-  std::ofstream f(path, std::ios::binary | std::ios::app);
-  if (!f) return Status::IoError("cannot open for append: " + path);
+  std::ofstream f(path, std::ios::binary |
+                            (append ? std::ios::app : std::ios::trunc));
+  if (!f) return Status::IoError("cannot open for " + what + ": " + path);
   f.write(reinterpret_cast<const char*>(data.data()),
           static_cast<std::streamsize>(data.size()));
-  if (!f) return Status::IoError("append failed: " + path);
-  MeterWrite(key, SizeOf(key), data.size(), cls);
+  if (!f) return Status::IoError(what + " failed: " + path);
+  MeterWrite(key, append ? SizeOf(key) : data.size(), data.size(), cls);
   return Status::OK();
 }
 

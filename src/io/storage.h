@@ -123,7 +123,6 @@ class StorageService {
   void EnablePageCache(uint64_t capacity_bytes) {
     page_cache_capacity_ = capacity_bytes;
   }
-  uint64_t page_cache_capacity() const { return page_cache_capacity_; }
 
   /// Replaces the blob at `key` with `data`.
   virtual Status Write(const std::string& key, Slice data, IoClass cls) = 0;
@@ -279,6 +278,9 @@ class FileStorage : public StorageService {
  private:
   explicit FileStorage(std::string root_dir) : root_dir_(std::move(root_dir)) {}
   std::string PathFor(const std::string& key) const;
+  /// Write (truncating) or Append: the file write and its metering.
+  Status WriteFile(const std::string& key, Slice data, IoClass cls,
+                   bool append);
 
   std::string root_dir_;
 };

@@ -155,8 +155,8 @@ void TcpTransport::ServeConnection(NodeId node, int fd) {
   while (!stopping_.load()) {
     if (!ReadExact(fd, header.data(), header.size()).ok()) break;
     Decoder dec(Slice(header.data(), header.size()));
-    uint8_t kind;
-    uint64_t seq;
+    uint8_t kind = 0;
+    uint64_t seq = 0;
     FrameHeader hdr;
     if (!dec.GetU8(&kind).ok() || !dec.GetFixed64(&seq).ok() ||
         !FrameHeader::DecodeFrom(&dec, &hdr).ok()) {

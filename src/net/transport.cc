@@ -13,7 +13,7 @@ void FrameHeader::EncodeTo(Encoder* enc) const {
 }
 
 Status FrameHeader::DecodeFrom(Decoder* dec, FrameHeader* out) {
-  uint16_t method;
+  uint16_t method = 0;
   HG_RETURN_IF_ERROR(dec->GetFixed32(&out->src));
   HG_RETURN_IF_ERROR(dec->GetFixed32(&out->dst));
   HG_RETURN_IF_ERROR(dec->GetFixed16(&method));
@@ -67,8 +67,8 @@ Status Transport::Dispatch(const FrameHeader& hdr, Slice payload,
   return handler(hdr.src, payload, response);
 }
 
-Status InProcTransport::Post(NodeId src, NodeId dst, RpcMethod method,
-                             Slice payload) {
+Status InProcTransport::Deliver(NodeId src, NodeId dst, RpcMethod method,
+                                Slice payload, Buffer* response) {
   if (src >= num_nodes_ || dst >= num_nodes_) {
     return Status::InvalidArgument("node id out of range");
   }
@@ -89,36 +89,20 @@ Status InProcTransport::Post(NodeId src, NodeId dst, RpcMethod method,
   HG_RETURN_IF_ERROR(FrameHeader::DecodeFrom(&dec, &decoded));
   Slice body;
   HG_RETURN_IF_ERROR(dec.GetRaw(decoded.payload_size, &body));
+  return Dispatch(decoded, body, response);
+}
+
+Status InProcTransport::Post(NodeId src, NodeId dst, RpcMethod method,
+                             Slice payload) {
   Buffer ignored;
-  return Dispatch(decoded, body, &ignored);
+  return Deliver(src, dst, method, payload, &ignored);
 }
 
 Status InProcTransport::Call(NodeId src, NodeId dst, RpcMethod method,
                              Slice payload, std::vector<uint8_t>* response) {
-  if (src >= num_nodes_ || dst >= num_nodes_) {
-    return Status::InvalidArgument("node id out of range");
-  }
-  FrameHeader hdr{src, dst, method, static_cast<uint32_t>(payload.size())};
-  Buffer frame;
-  Encoder enc(&frame);
-  hdr.EncodeTo(&enc);
-  enc.PutRaw(payload.data(), payload.size());
-
-  const bool metered = ShouldMeter(src, dst);
-  if (metered) {
-    MeterFrame(src, dst, frame.size());
-  }
-
-  Decoder dec(frame.AsSlice());
-  FrameHeader decoded;
-  HG_RETURN_IF_ERROR(FrameHeader::DecodeFrom(&dec, &decoded));
-  Slice body;
-  HG_RETURN_IF_ERROR(dec.GetRaw(decoded.payload_size, &body));
-
   Buffer resp;
-  HG_RETURN_IF_ERROR(Dispatch(decoded, body, &resp));
-
-  if (metered) {
+  HG_RETURN_IF_ERROR(Deliver(src, dst, method, payload, &resp));
+  if (ShouldMeter(src, dst)) {
     MeterFrame(dst, src, FrameHeader::kEncodedSize + resp.size());
   }
   *response = resp.TakeBytes();

@@ -192,6 +192,12 @@ class InProcTransport : public Transport {
   Status Post(NodeId src, NodeId dst, RpcMethod method, Slice payload) override;
   Status Call(NodeId src, NodeId dst, RpcMethod method, Slice payload,
               std::vector<uint8_t>* response) override;
+
+ private:
+  /// Frames, meters and dispatches one request; the handler's answer lands
+  /// in `*response` unmetered.
+  Status Deliver(NodeId src, NodeId dst, RpcMethod method, Slice payload,
+                 Buffer* response);
 };
 
 }  // namespace hybridgraph

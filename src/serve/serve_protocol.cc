@@ -7,32 +7,14 @@ namespace hybridgraph {
 void EncodeIngestRequest(const EdgeBatch& batch, Buffer* out) {
   Encoder enc(out);
   enc.PutFixed64(batch.timestamp);
-  enc.PutVarint64(batch.deltas.size());
-  for (const auto& d : batch.deltas) {
-    enc.PutU8(d.is_delete ? 1 : 0);
-    enc.PutFixed32(d.src);
-    enc.PutFixed32(d.dst);
-    enc.PutFloat(d.weight);
-  }
+  EncodeDeltas(batch.deltas, &enc);
 }
 
 Status DecodeIngestRequest(Slice payload, EdgeBatch* out) {
   Decoder dec{payload};
   out->deltas.clear();
   HG_RETURN_IF_ERROR(dec.GetFixed64(&out->timestamp));
-  uint64_t count = 0;
-  HG_RETURN_IF_ERROR(dec.GetVarint64(&count));
-  out->deltas.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    EdgeDelta d;
-    uint8_t flags = 0;
-    HG_RETURN_IF_ERROR(dec.GetU8(&flags));
-    HG_RETURN_IF_ERROR(dec.GetFixed32(&d.src));
-    HG_RETURN_IF_ERROR(dec.GetFixed32(&d.dst));
-    HG_RETURN_IF_ERROR(dec.GetFloat(&d.weight));
-    d.is_delete = (flags & 1) != 0;
-    out->deltas.push_back(d);
-  }
+  HG_RETURN_IF_ERROR(DecodeDeltas(&dec, &out->deltas));
   if (!dec.AtEnd()) return Status::Corruption("trailing bytes in ingest request");
   return Status::OK();
 }

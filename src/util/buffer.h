@@ -60,7 +60,6 @@ class Buffer {
   void PushBack(uint8_t b) { bytes_.push_back(b); }
 
   void Clear() { bytes_.clear(); }
-  void Reserve(size_t n) { bytes_.reserve(n); }
 
   const uint8_t* data() const { return bytes_.data(); }
   uint8_t* data() { return bytes_.data(); }

@@ -64,11 +64,7 @@ struct LogVoidify {
                HG_LOG_INTERNAL(::hybridgraph::LogLevel::kFatal)             \
                    << "Check failed: " #cond " "
 
-#define HG_CHECK_EQ(a, b) HG_CHECK((a) == (b)) << "(" << (a) << " vs " << (b) << ") "
-#define HG_CHECK_NE(a, b) HG_CHECK((a) != (b)) << "(" << (a) << " vs " << (b) << ") "
-#define HG_CHECK_LE(a, b) HG_CHECK((a) <= (b)) << "(" << (a) << " vs " << (b) << ") "
 #define HG_CHECK_LT(a, b) HG_CHECK((a) < (b)) << "(" << (a) << " vs " << (b) << ") "
-#define HG_CHECK_GE(a, b) HG_CHECK((a) >= (b)) << "(" << (a) << " vs " << (b) << ") "
 #define HG_CHECK_GT(a, b) HG_CHECK((a) > (b)) << "(" << (a) << " vs " << (b) << ") "
 
 #ifndef NDEBUG

@@ -4,6 +4,8 @@
 
 #include <filesystem>
 
+#include "util/codec.h"
+
 namespace hybridgraph {
 namespace {
 
@@ -87,6 +89,17 @@ TEST(EdgeListBinary, BadMagic) {
 TEST(EdgeListBinary, TrailingBytes) {
   auto bytes = EncodeEdgeListBinary(Sample());
   bytes.push_back(0);
+  EXPECT_EQ(DecodeEdgeListBinary(bytes).status().code(),
+            StatusCode::kCorruption);
+}
+
+TEST(EdgeListBinary, EdgeCountBeyondTheBytesIsCorruption) {
+  // A 1-edge file whose header claims 2^40 edges must not reach reserve().
+  EdgeListGraph g;
+  g.num_vertices = 2;
+  g.edges = {{0, 1, 1.0f}};
+  auto bytes = EncodeEdgeListBinary(g);
+  EncodeFixed<uint64_t>(bytes.data() + 12, uint64_t{1} << 40);
   EXPECT_EQ(DecodeEdgeListBinary(bytes).status().code(),
             StatusCode::kCorruption);
 }

@@ -131,7 +131,9 @@ TEST(DegreeBalancedPartition, MegaDegreeVertexStillYieldsValidRanges) {
     const VertexRange range = p.NodeRange(node);
     EXPECT_GE(range.size(), 1u);
     covered += range.size();
-    if (node > 0) EXPECT_EQ(range.begin, p.NodeRange(node - 1).end);
+    if (node > 0) {
+      EXPECT_EQ(range.begin, p.NodeRange(node - 1).end);
+    }
   }
   EXPECT_EQ(covered, n);
   for (VertexId v = 0; v < n; ++v) {

@@ -2,7 +2,7 @@
 //
 // Examples:
 //   hg_run --graph dataset:livej --algo pagerank --mode hybrid --supersteps 10
-//   hg_run --graph my_edges.txt --algo sssp --mode bpull --nodes 8 \
+//   hg_run --graph my_edges.txt --algo sssp --mode bpull --nodes 8
 //          --buffer 5000 --csv run.csv --trace
 //   hg_run --graph dataset:twi --algo sssp --mode hybrid --disk ssd --threads 0
 #include <cstdio>

@@ -13,7 +13,7 @@
 //                 stdin closes (send frames with RpcMethod 9..12).
 //
 // Examples:
-//   hg_serve --graph dataset:livej --algo pagerank-delta --mode hybrid \
+//   hg_serve --graph dataset:livej --algo pagerank-delta --mode hybrid
 //            --stream 8 --batch 64
 //   hg_serve --graph my_edges.txt --algo sssp --mode bpull --metrics-csv m.csv
 #include <cstdio>
