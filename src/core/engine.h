@@ -66,8 +66,7 @@ enum PathBits : uint8_t {
 /// layout at Load and may produce. Under adaptive the per-cell path both
 /// produces and serves pulls, so push and b-pull stay installed but inactive
 /// (their drain machinery is invoked through the adaptive path, not their
-/// registry slots). Hybrid with config.hybrid_regime_graphhp additionally
-/// activates the GraphHP path (the three-regime Eq. 11 table).
+/// registry slots).
 struct ModeWiring {
   EngineMode mode;
   uint8_t installed;
@@ -99,14 +98,9 @@ class Engine {
   Engine(JobConfig config, P program)
       : driver_(std::move(config), std::move(program)) {
     StaticCheckProgram<P>();
-    const JobConfig& cfg = driver_.config();
     ModeWiring w{};
     for (const ModeWiring& row : kModeWiring) {
-      if (row.mode == cfg.mode) w = row;
-    }
-    if (cfg.mode == EngineMode::kHybrid && cfg.hybrid_regime_graphhp) {
-      w.installed |= kGhpPathBit;
-      w.active |= kGhpPathBit;
+      if (row.mode == driver_.config().mode) w = row;
     }
     Install<PushPath<P>>(w, kPushPathBit);
     Install<PushMPath<P>>(w, kPushMPathBit);

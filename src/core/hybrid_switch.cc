@@ -273,47 +273,8 @@ void EvaluateSwitch(SuperstepMetrics* m, const JobConfig& config,
   // Δt suppression: switching every superstep is not cost effective.
   if (superstep - state->last_switch_superstep < config.switch_interval) return;
 
-  // Regime table (Eq. 11 generalized to N regimes): every candidate scores
-  // its modeled advantage over plain push — push scores 0 by definition,
-  // b-pull scores Q_t. Later rows win ties, so with only the two classic
-  // regimes the decision is literally `q >= 0 ? b-pull : push` (the
-  // golden-pinned switch sequences).
-  EngineMode desired = EngineMode::kPush;
-  double best_q = 0.0;
-  if (q >= best_q) {
-    best_q = q;
-    desired = EngineMode::kBPull;
-  }
-  if (config.hybrid_regime_graphhp && facts.locally_iterable) {
-    // GraphHP's advantage over push: the predicted intra-Vblock message
-    // share never reaches the wire (local sub-iterations deliver it in
-    // memory), at the price of re-reading the inner-adjacency sidecars of
-    // the responding Vblocks (page-cached, like other graph re-reads).
-    double intra_edges = 0, total_out = 0, inner_bytes = 0;
-    for (const auto& node : nodes) {
-      if (!node.ve) continue;
-      const uint32_t first_vb = partition.FirstVblockOf(node.id);
-      const uint32_t last_vb = partition.LastVblockOf(node.id);
-      for (uint32_t vb = first_vb; vb < last_vb; ++vb) {
-        if (!node.vblock_res_next[vb - first_vb]) continue;
-        const VblockMeta& meta = node.ve->Meta(vb);
-        total_out += static_cast<double>(meta.out_degree);
-        intra_edges += static_cast<double>(meta.inner_edges);
-        const auto& idx = node.ve->InnerIndex(vb);
-        inner_bytes += static_cast<double>(idx.aux_bytes + idx.edge_bytes);
-      }
-    }
-    const double intra_frac = total_out > 0 ? intra_edges / total_out : 0.0;
-    const double q_ghp =
-        (predicted_msgs * intra_frac *
-         static_cast<double>(facts.msg_record_size)) /
-            (config.net.mbps * mb) -
-        inner_bytes / (kRamMbps * mb);
-    if (q_ghp >= best_q) {
-      best_q = q_ghp;
-      desired = EngineMode::kGraphHp;
-    }
-  }
+  // Eq. (11)'s sign picks the regime; ties go to b-pull.
+  const EngineMode desired = q >= 0 ? EngineMode::kBPull : EngineMode::kPush;
   if (desired != *mode) {
     state->last_switch_superstep = superstep;
     *mode = desired;

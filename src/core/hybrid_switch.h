@@ -23,10 +23,6 @@ struct HybridFacts {
   size_t msg_size = 0;
   size_t msg_record_size = 0;    ///< 4 + msg_size
   size_t value_record_size = 0;  ///< 8 + kValueSize
-  /// The program's update is a monotone idempotent fold (SSSP/BFS/WCC), so
-  /// the GraphHP regime's local sub-iterations preserve its fixpoint. Gates
-  /// the third row of the regime table (with config.hybrid_regime_graphhp).
-  bool locally_iterable = false;
 };
 
 /// Mutable hybrid controller state, persisted by checkpoints.

@@ -92,23 +92,8 @@ Status JobConfig::Validate(const JobFacts& facts) const {
         "io.prefetch_budget_bytes must be nonzero when prefetching is on "
         "(io.prefetch_depth > 0)");
   }
-  if (io.prefetch_depth > 0 && io.prefetch_threads == 0) {
-    return Status::InvalidArgument(
-        "io.prefetch_threads must be nonzero when prefetching is on "
-        "(io.prefetch_depth > 0)");
-  }
-  if (io.prefetch_threads > 256) {
-    return Status::InvalidArgument(StringFormat(
-        "io.prefetch_threads = %u is not a plausible I/O pool width (max 256)",
-        io.prefetch_threads));
-  }
   if (max_supersteps < 0) {
     return Status::InvalidArgument("max_supersteps must be >= 0");
-  }
-  if (!(adaptive_alpha > 0) || !(adaptive_beta > 0)) {
-    return Status::InvalidArgument(
-        "adaptive_alpha and adaptive_beta must be positive (α weights pushed "
-        "bytes, β gates pull density and the frontier bitmap threshold)");
   }
   if (switch_interval < 1) {
     return Status::InvalidArgument("switch_interval must be >= 1");
@@ -134,15 +119,6 @@ Status JobConfig::Validate(const JobFacts& facts) const {
     return Status::InvalidArgument(StringFormat(
         "tcp_max_retries = %u is not a plausible retry bound (max 100)",
         tcp_max_retries));
-  }
-  if (tcp_backoff_max_us < tcp_backoff_base_us) {
-    return Status::InvalidArgument(
-        "tcp_backoff_max_us must be >= tcp_backoff_base_us");
-  }
-  if (tcp_max_frame_bytes < 1024) {
-    return Status::InvalidArgument(
-        "tcp_max_frame_bytes must be at least 1KiB (a frame header plus a "
-        "minimal batch)");
   }
   if (!failpoints.empty()) {
     std::vector<std::pair<std::string, FailPointSpec>> parsed;

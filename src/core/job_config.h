@@ -85,21 +85,12 @@ struct JobConfig {
   /// v-pull vertex cache capacity (vertices per node, LRU).
   uint64_t vpull_vertex_cache = UINT64_MAX;
 
-  /// v-pull per-LRU-miss software penalty (seconds): the GraphLab disk path
-  /// deserializes and re-fetches a vertex record per miss, which is what
-  /// makes the paper's ext-edge-v2.5 scenario collapse (Table 5).
-  double vpull_miss_penalty_s = 20e-6;
-
   /// Sending threshold: a per-destination staging buffer is flushed when its
   /// serialized size reaches this (paper Appendix E; default 4MB scaled down
   /// with the datasets).
   uint64_t sending_threshold_bytes = 16 * 1024;
 
-  /// Modeled fixed cost of one network package flush (connection overhead,
-  /// Appendix E). Scaled down with the datasets like the thresholds.
-  double flush_overhead_s = 20e-6;
-
-  /// \brief The I/O knobs: spill merge and combining, readahead.
+  /// \brief The I/O knobs: spill merge, readahead.
   struct IoConfig {
     /// Per-run buffer of the streaming spill merge (bytes). The push-mode
     /// inbox drain holds at most B_i messages plus
@@ -107,14 +98,6 @@ struct JobConfig {
     /// whole spilled volume. Rounded down to a whole number of spill records
     /// (min one record per run). Must be nonzero.
     uint64_t spill_merge_buffer_bytes = 64 * 1024;
-
-    /// Apply the program combiner inside the receiver-side spill (at
-    /// run-write time and during the streaming merge), so combined runs
-    /// shrink on disk — Giraph-style combining. Only effective for
-    /// combinable programs. Off by default: the paper's push baseline spills
-    /// raw messages, and the modeled spill I/O bytes of the shipped benches
-    /// depend on that.
-    bool spill_combining = false;
 
     /// Max staged readahead entries per node's ReadPipeline; 0 disables the
     /// overlapped I/O pipeline entirely (no I/O pool, no background reads).
@@ -124,11 +107,6 @@ struct JobConfig {
 
     /// Max bytes held by not-yet-consumed readahead per node.
     uint64_t prefetch_budget_bytes = 4 * 1024 * 1024;
-
-    /// Width of the shared background I/O thread pool (distinct from the
-    /// compute pool: a single FIFO queue must never run a phase task that
-    /// waits on a queued prefetch task).
-    uint32_t prefetch_threads = 2;
   };
   IoConfig io;
 
@@ -182,20 +160,6 @@ struct JobConfig {
   /// sweep like pure push, so results match push bit-for-bit.
   uint32_t ghp_max_local_iters = 10;
 
-  /// Hybrid: let Eq. 11's per-superstep decision consider the GraphHP regime
-  /// in addition to push and b-pull (three-regime cost table). Off by
-  /// default: the two-regime switch sequences are golden-pinned. Ignored for
-  /// programs that are not locally iterable (GraphHP would equal push).
-  bool hybrid_regime_graphhp = false;
-
-  /// Adaptive mode (kAdaptive): Beamer-style α/β knobs of the per-Eblock-cell
-  /// direction choice (see core/frontier.h). α inflates the modeled cost of a
-  /// pushed message (spill risk); β gates pull eligibility on frontier
-  /// density (pull only when active·β ≥ |b_j|) and sets the frontier's
-  /// queue→bitmap conversion threshold at n/β.
-  double adaptive_alpha = 15.0;
-  double adaptive_beta = 18.0;
-
   /// Treat all data as memory-resident (the "sufficient memory" scenario of
   /// Fig 7): data still flows through the stores but modeled I/O time and
   /// spilling are disabled.
@@ -209,7 +173,8 @@ struct JobConfig {
   /// instead of the runtime model's effective costs (page-cached graph
   /// re-reads, per-op overheads). The default keeps the metric consistent
   /// with what the runtime model actually charges; the Table-3 variant is
-  /// kept for the ablation bench.
+  /// the paper-literal reference form of Eq. 11 and Theorem 2, pinned by
+  /// Hybrid.Theorem2PicksPushWhenFragmentsDominate.
   bool qt_use_table3_throughputs = false;
   /// Hybrid: force the initial mode instead of the Theorem-2 rule.
   bool force_initial_mode = false;
@@ -221,25 +186,17 @@ struct JobConfig {
 
   TransportKind transport = TransportKind::kInProc;
 
-  /// TCP transport reliability knobs (TransportKind::kTcp only; see
-  /// TcpTransport::Options). The retry/backoff schedule is seeded from
-  /// `seed`, so fault-injected runs replay bit-identically.
+  /// TCP transport reliability knobs (TransportKind::kTcp only; backoff
+  /// and frame bounds keep TcpTransport::Options' defaults). The retry
+  /// schedule is seeded from `seed`, so fault-injected runs replay
+  /// bit-identically.
   uint32_t tcp_call_timeout_ms = 5000;  ///< per-attempt deadline (0 = none)
   uint32_t tcp_max_retries = 3;         ///< attempts beyond the first
-  uint32_t tcp_backoff_base_us = 200;   ///< first retry delay, doubles after
-  uint32_t tcp_backoff_max_us = 50000;  ///< retry delay ceiling
-  uint32_t tcp_max_frame_bytes = 64u << 20;  ///< frame size bound, both ends
 
   /// Fail-point schedule armed at Load() (see util/failpoint.h for the
   /// grammar; empty = none). Also settable via the HG_FAILPOINTS env var in
   /// hg_run.
   std::string failpoints;
-
-  /// Model the load phase's partitioning shuffle: each node reads a hash
-  /// split of the raw edge list from the DFS and routes every edge to its
-  /// range-partition owner over the (metered) transport — the "tasks load
-  /// graph data ... and then partition data among themselves" step of Fig 1.
-  bool metered_loading = false;
 
   /// Use FileStorage under storage_dir instead of MemStorage.
   bool use_file_storage = false;

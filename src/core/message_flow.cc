@@ -122,8 +122,6 @@ Status CollectPushMessages(NodeState& node, const PushPolicy& policy) {
         std::max(node.spill_buffer_peak, it->buffer_bytes());
     node.spill_resident_peak =
         std::max(node.spill_resident_peak, it->peak_resident_entries());
-    node.spill_combined +=
-        inbox.spill->combined_at_spill() + it->merge_combined();
     node.mem_highwater = std::max(node.mem_highwater, it->buffer_bytes());
     HG_RETURN_IF_ERROR(inbox.spill->Clear());
   }

@@ -13,7 +13,7 @@ std::string SuperstepMetricsCsv(const JobStats& stats) {
       "io_spill_read,io_eblock,io_fragment_aux,io_vrr,io_other,io_total,"
       "net_bytes,net_frames,net_retries,net_timeouts,net_reconnects,"
       "cpu_s,io_s,net_s,blocking_s,superstep_s,"
-      "memory_bytes,spill_buffer_bytes,spill_resident_peak,spill_combined,"
+      "memory_bytes,spill_buffer_bytes,spill_resident_peak,"
       "prefetch_scheduled,prefetch_hits,prefetch_misses,prefetch_hit_bytes,"
       "aggregate,q_t,phase_consume_s,phase_update_s,phase_drain_s,"
       "push_cells,pull_cells,pull_requests,edges_scanned,msg_imbalance,"
@@ -22,7 +22,7 @@ std::string SuperstepMetricsCsv(const JobStats& stats) {
     out += StringFormat(
         "%d,%s,%d,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,"
         "%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%.9g,%.9g,%.9g,%.9g,"
-        "%.9g,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%.9g,%.9g,%.9g,%.9g,"
+        "%.9g,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%.9g,%.9g,%.9g,%.9g,"
         "%.9g,%llu,%llu,%llu,%llu,%.9g,%.9g,%llu,%llu,%llu\n",
         s.superstep, EngineModeName(s.mode), s.switched ? 1 : 0,
         (unsigned long long)s.active_vertices,
@@ -47,7 +47,6 @@ std::string SuperstepMetricsCsv(const JobStats& stats) {
         (unsigned long long)s.memory_highwater_bytes,
         (unsigned long long)s.spill_merge_buffer_bytes,
         (unsigned long long)s.spill_peak_resident,
-        (unsigned long long)s.spill_combined,
         (unsigned long long)s.prefetch_scheduled,
         (unsigned long long)s.prefetch_hits,
         (unsigned long long)s.prefetch_misses,

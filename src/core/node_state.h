@@ -138,7 +138,6 @@ struct NodeState {
   // Streaming spill-merge observability (push-consume drain).
   uint64_t spill_buffer_peak = 0;    ///< run-buffer bytes held by the merge
   uint64_t spill_resident_peak = 0;  ///< peak resident spill entries
-  uint64_t spill_combined = 0;       ///< combiner reductions (spill + merge)
   // GraphHP-style local sub-iteration counters (kGraphHp production only).
   // local_iters counts sub-iterations run across this node's Vblocks;
   // local_depth is the deepest chain of any one Vblock (the barriers the

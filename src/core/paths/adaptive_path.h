@@ -64,8 +64,6 @@ class AdaptivePath : public BlockPathBase<P> {
 
   Status Build(const EdgeListGraph& graph) override {
     HG_RETURN_IF_ERROR(BlockPathBase<P>::Build(graph));
-    policy_.alpha = this->driver_->config().adaptive_alpha;
-    policy_.beta = this->driver_->config().adaptive_beta;
     scratch_.assign(this->driver_->config().num_nodes, NodeScratch{});
     return Status::OK();
   }

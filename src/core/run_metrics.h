@@ -93,8 +93,6 @@ struct SuperstepMetrics {
   uint64_t spill_merge_buffer_bytes = 0;  ///< max over nodes: run buffers held
   uint64_t spill_peak_resident = 0;       ///< max over nodes: peak resident
                                           ///< spill entries during the merge
-  uint64_t spill_combined = 0;            ///< sum: combiner reductions in the
-                                          ///< spill path (spill + merge time)
 
   /// GraphHP intra-block asynchrony (kGraphHp production only; zero
   /// elsewhere). Modeled counters, folded from per-node state in node order
@@ -140,9 +138,6 @@ struct LoadMetrics {
   uint64_t vblock_bytes = 0;
   uint64_t total_fragments = 0;     ///< f (Theorem 2)
   uint64_t b_lower_bound = 0;       ///< B_perp = |E|/2 - f
-  /// Partitioning-shuffle traffic during loading (metered_loading only).
-  uint64_t shuffle_net_bytes = 0;
-  double shuffle_seconds = 0;
 };
 
 /// \brief Everything a finished job reports.

@@ -5,6 +5,14 @@
 
 namespace hybridgraph {
 
+namespace {
+
+/// Modeled fixed cost of one network package flush (connection overhead,
+/// Appendix E), scaled down with the datasets like the sending threshold.
+constexpr double kFlushOverheadSeconds = 20e-6;
+
+}  // namespace
+
 void BeginBlockAccounting(std::vector<NodeState>& nodes, Transport& transport) {
   for (auto& node : nodes) {
     node.aggregate_partial = 0;
@@ -17,7 +25,6 @@ void BeginBlockAccounting(std::vector<NodeState>& nodes, Transport& transport) {
     node.mem_highwater = 0;
     node.spill_buffer_peak = 0;
     node.spill_resident_peak = 0;
-    node.spill_combined = 0;
     node.edges_scanned = 0;
     node.pull_requests = 0;
     node.local_iters = 0;
@@ -105,7 +112,7 @@ SuperstepMetrics AccumulateBlockMetrics(std::vector<NodeState>& nodes,
     const double tail_s = config.net.SecondsFor(std::min<uint64_t>(
         config.sending_threshold_bytes, net_delta.bytes_sent));
     const double blocking_s =
-        static_cast<double>(node.flushes) * config.flush_overhead_s + tail_s +
+        static_cast<double>(node.flushes) * kFlushOverheadSeconds + tail_s +
         std::max(0.0, net_s - work_s);
     const double node_s = work_s + blocking_s;
 
@@ -123,7 +130,6 @@ SuperstepMetrics AccumulateBlockMetrics(std::vector<NodeState>& nodes,
         std::max(m.spill_merge_buffer_bytes, node.spill_buffer_peak);
     m.spill_peak_resident =
         std::max(m.spill_peak_resident, node.spill_resident_peak);
-    m.spill_combined += node.spill_combined;
 
     m.local_iters += node.local_iters;
     m.local_msg_bytes += node.local_msg_bytes;

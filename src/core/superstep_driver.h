@@ -89,7 +89,7 @@ class SuperstepDriver {
     }
     pool_ = std::make_unique<ThreadPool>(config_.num_threads);
     if (config_.io.prefetch_depth > 0) {
-      io_pool_ = std::make_unique<ThreadPool>(config_.io.prefetch_threads);
+      io_pool_ = std::make_unique<ThreadPool>(kPrefetchThreads);
     }
     FoldCpuScale(&config_);
     ctx_.num_vertices = graph.num_vertices;
@@ -488,9 +488,6 @@ class SuperstepDriver {
     if constexpr (P::kCombinable) {
       hooks.pending_combiner = &ProgramOps<P>::CombineRaw;
       hooks.staging_combiner = &ProgramOps<P>::CombineRaw;
-      if (config_.io.spill_combining) {
-        hooks.spill_combiner = &ProgramOps<P>::CombineRaw;
-      }
     }
     return hooks;
   }
@@ -518,6 +515,8 @@ class SuperstepDriver {
   /// ReadPipelines (reverse destruction order), which wait out their
   /// in-flight reads in their destructors.
   std::unique_ptr<ThreadPool> io_pool_;
+  /// Width of io_pool_.
+  static constexpr uint32_t kPrefetchThreads = 2;
   std::vector<NodeState> nodes_;
   SuperstepContext ctx_;
   TraceCollector trace_;
@@ -534,7 +533,7 @@ class SuperstepDriver {
   EngineMode prev_produce_ = EngineMode::kPush;
   HybridState hybrid_;
   const HybridFacts facts_{P::kCombinable, kMsgSize, kMsgRecordSize,
-                           kValueRecordSize, LocallyIterable<P>};
+                           kValueRecordSize};
   /// Aggregate visible to the previous superstep (pullRes() at superstep t
   /// logically produces superstep t-1's messages and must see t-1's view).
   double pull_gen_aggregate_ = 0;

@@ -85,23 +85,14 @@ Status MessageSpill::SpillRun(Slice records) {
   SortByDst(records.data(), n);
   run_bytes_.resize(kRunHeaderBytes + records.size());
   uint8_t* out = run_bytes_.data() + kRunHeaderBytes;
-  uint64_t combined = 0;
   for (size_t k = 0; k < n; ++k) {
-    const uint8_t* r =
-        records.data() + static_cast<uint32_t>(sort_keys_[k]) * record_size;
-    if (combiner_ != nullptr && k > 0 &&
-        (sort_keys_[k] >> 32) == (sort_keys_[k - 1] >> 32)) {
-      // Fold into the first occurrence, in input order.
-      combiner_(out - payload_size_, r + 4);
-      ++combined;
-    } else {
-      std::memcpy(out, r, record_size);
-      out += record_size;
-    }
+    std::memcpy(out + k * record_size,
+                records.data() +
+                    static_cast<uint32_t>(sort_keys_[k]) * record_size,
+                record_size);
   }
-  const uint64_t entries = n - combined;
-  EncodeFixed(run_bytes_.data(), entries);
-  const Slice run(run_bytes_.data(), out - run_bytes_.data());
+  EncodeFixed(run_bytes_.data(), static_cast<uint64_t>(n));
+  const Slice run(run_bytes_.data(), run_bytes_.size());
   // Write-then-register: the run only becomes visible (num_runs_) after the
   // blob is durably written. On any failure in between, delete the key so a
   // half-written run is never leaked (Clear() would not know about it).
@@ -114,9 +105,8 @@ Status MessageSpill::SpillRun(Slice records) {
     return st;
   }
   ++num_runs_;
-  num_messages_ += entries;
+  num_messages_ += n;
   bytes_written_ += run.size();
-  combined_at_spill_ += combined;
   return Status::OK();
 }
 
@@ -130,7 +120,6 @@ MessageSpill::MergeIterator::MergeIterator(StorageService* storage,
       pipeline_(pipeline),
       payload_size_(spill->payload_size_),
       record_size_(4 + spill->payload_size_),
-      combiner_(spill->combiner_),
       current_payload_(spill->payload_size_) {
   // At least one whole record per run, and chunks aligned to record size so
   // a refill never splits a record across reads.
@@ -287,17 +276,6 @@ Status MessageSpill::MergeIterator::PrimeNext() {
   std::memcpy(current_payload_.data(), rc.buf.data() + rc.buf_pos + 4,
               payload_size_);
   HG_RETURN_IF_ERROR(ConsumeWinner());
-  if (combiner_ != nullptr) {
-    // Fold every remaining entry for this destination into the current one.
-    // The tree always surfaces the minimal (dst, run) key, so the fold
-    // order — run by run, spill order within a run — is deterministic.
-    while (tree_[0] < kExhausted && (tree_[0] >> 32) == current_dst_) {
-      const RunCursor& rc2 = runs_[tree_[0] & kRunMask];
-      combiner_(current_payload_.data(), rc2.buf.data() + rc2.buf_pos + 4);
-      ++merge_combined_;
-      HG_RETURN_IF_ERROR(ConsumeWinner());
-    }
-  }
   ++entries_emitted_;
   valid_ = true;
   peak_resident_entries_ = std::max(peak_resident_entries_, resident_entries_ + 1);
@@ -363,7 +341,6 @@ Status MessageSpill::Clear() {
   num_runs_ = 0;
   num_messages_ = 0;
   bytes_written_ = 0;
-  combined_at_spill_ = 0;
   return Status::OK();
 }
 

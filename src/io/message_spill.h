@@ -39,12 +39,6 @@ namespace hybridgraph {
 /// \brief Writes sorted runs of messages and streams them back merged.
 class MessageSpill {
  public:
-  /// In-place payload combiner: folds `other` into `acc` (both
-  /// payload_size bytes). When set, messages for the same destination are
-  /// combined while a run is written AND while runs are merged, so combined
-  /// runs shrink on disk (Giraph-style combining).
-  using CombineFn = void (*)(uint8_t* acc, const uint8_t* other);
-
   /// Per-run merge buffer used when no explicit size is given
   /// (JobConfig::IoConfig::spill_merge_buffer_bytes is the engine-facing
   /// knob).
@@ -55,27 +49,19 @@ class MessageSpill {
   /// \param payload_size fixed serialized size of one message value.
   MessageSpill(StorageService* storage, std::string key_prefix, size_t payload_size);
 
-  /// Arms the combiner (nullptr disarms). Must be set before the first
-  /// SpillRun of a batch for runs to shrink on disk.
-  void set_combiner(CombineFn fn) { combiner_ = fn; }
-
   /// Writes `records` (whole `[fixed32 dst | payload]` records, e.g. a
   /// RecordSlab's bytes or a slice of a wire batch) as one run ordered by
-  /// destination, ties in input order (combining equal destinations, in that
-  /// order, when a combiner is armed). Cleanup-safe: if the write or sync
+  /// destination, ties in input order. Cleanup-safe: if the write or sync
   /// fails, the partially written run blob is deleted before the error is
   /// returned, so no orphaned `<prefix>/run-*` key survives.
   Status SpillRun(Slice records);
 
   /// Number of runs written so far.
   size_t num_runs() const { return num_runs_; }
-  /// Entries stored across all runs (post spill-time combining; equals the
-  /// number of spilled messages when no combiner is armed).
+  /// Entries stored across all runs (the number of spilled messages).
   uint64_t num_messages() const { return num_messages_; }
   /// Total bytes written to disk by this spill.
   uint64_t bytes_written() const { return bytes_written_; }
-  /// Messages folded away by the combiner at SpillRun time.
-  uint64_t combined_at_spill() const { return combined_at_spill_; }
 
   /// \brief Bounded-memory k-way merge over the spilled runs.
   ///
@@ -91,8 +77,7 @@ class MessageSpill {
     /// True while dst()/payload() describe a merged entry; false at the end
     /// and after any error from Next().
     bool Valid() const { return valid_; }
-    /// Current merged entry (combined across runs when a combiner is
-    /// armed); the payload lives in one fixed scratch slot.
+    /// Current merged entry; the payload lives in one fixed scratch slot.
     uint32_t dst() const { return current_dst_; }
     const uint8_t* payload() const { return current_payload_.data(); }
     /// Advances to the next merged entry; Valid() turns false at the end.
@@ -100,11 +85,8 @@ class MessageSpill {
 
     /// Entries decoded from disk so far (= bytes consumed / record size).
     uint64_t entries_read() const { return entries_read_; }
-    /// Entries emitted through dst()/payload() so far (≤ entries_read when
-    /// merging with a combiner).
+    /// Entries emitted through dst()/payload() so far.
     uint64_t entries_emitted() const { return entries_emitted_; }
-    /// Messages folded away by the combiner during this merge.
-    uint64_t merge_combined() const { return merge_combined_; }
     /// Fixed buffer allocation of this merge: num_runs × per-run chunk.
     uint64_t buffer_bytes() const { return buffer_bytes_; }
     /// Peak number of spill entries resident in memory at once (buffered
@@ -157,7 +139,6 @@ class MessageSpill {
     ReadPipeline* pipeline_;  ///< null = all reads synchronous
     size_t payload_size_;
     size_t record_size_;
-    CombineFn combiner_;
     uint64_t chunk_bytes_ = 0;
     uint64_t buffer_bytes_ = 0;
 
@@ -174,7 +155,6 @@ class MessageSpill {
     bool valid_ = false;
     uint64_t entries_read_ = 0;
     uint64_t entries_emitted_ = 0;
-    uint64_t merge_combined_ = 0;
     uint64_t resident_entries_ = 0;
     uint64_t peak_resident_entries_ = 0;
   };
@@ -215,11 +195,9 @@ class MessageSpill {
   StorageService* storage_;
   std::string key_prefix_;
   size_t payload_size_;
-  CombineFn combiner_ = nullptr;
   size_t num_runs_ = 0;
   uint64_t num_messages_ = 0;
   uint64_t bytes_written_ = 0;
-  uint64_t combined_at_spill_ = 0;
   // SpillRun scratch, reused by every run: the radix sort's key arrays and
   // digit counts, and the run blob being written.
   std::vector<uint64_t> sort_keys_;

@@ -35,7 +35,6 @@ enum class RpcMethod : uint16_t {
   kGatherPartial = 4,  ///< v-pull (GAS): partial gather sum to the master
   kApplyBroadcast = 5, ///< v-pull (GAS): new vertex value to mirrors
   kControl = 6,        ///< barrier / aggregator traffic
-  kLoadShuffle = 7,    ///< load phase: raw edges routed to their owner node
   kPullAdvert = 8,     ///< adaptive: which of the receiver's Vblocks the
                        ///< sender decided pull for (absent Vblocks need no
                        ///< pull-request round trip next superstep)

@@ -91,6 +91,11 @@ Status DecodeTopKResponse(Slice payload, TopKResponse* out) {
   HG_RETURN_IF_ERROR(dec.GetFixed64(&out->timestamp));
   uint64_t count = 0;
   HG_RETURN_IF_ERROR(dec.GetVarint64(&count));
+  // An entry is exactly 12 bytes, so a count the rest cannot hold is corrupt
+  // (and must not reach reserve()).
+  if (count > dec.remaining() / 12) {
+    return Status::Corruption("topk entry count exceeds response size");
+  }
   out->entries.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     TopKEntry e;

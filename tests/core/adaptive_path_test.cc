@@ -159,7 +159,6 @@ void ExpectModeledFieldsEqual(const SuperstepMetrics& a,
   EXPECT_EQ(a.memory_highwater_bytes, b.memory_highwater_bytes);
   EXPECT_EQ(a.spill_merge_buffer_bytes, b.spill_merge_buffer_bytes);
   EXPECT_EQ(a.spill_peak_resident, b.spill_peak_resident);
-  EXPECT_EQ(a.spill_combined, b.spill_combined);
   EXPECT_EQ(a.aggregate, b.aggregate);
   EXPECT_EQ(a.q_t, b.q_t);
   EXPECT_EQ(a.push_cells, b.push_cells);

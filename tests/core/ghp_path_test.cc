@@ -158,19 +158,6 @@ TEST(GhpDifferential, PageRankIsBitIdenticalToPush) {
   }
 }
 
-TEST(GhpDifferential, ThreeRegimeHybridReachesExactFixpoint) {
-  // The goldens in hybrid_test.cc pin WHERE the controller picks GraphHP;
-  // this pins that the mixed-regime schedule still computes the right thing.
-  const auto g = LocalityGraph();
-  SsspProgram program;
-  program.source = 17;
-  const auto reference = ReferenceSssp(g, program.source);
-  JobConfig cfg = Config(EngineMode::kHybrid);
-  cfg.hybrid_regime_graphhp = true;
-  const auto mixed = RunJob(g, program, cfg);
-  EXPECT_EQ(mixed.values, reference);
-}
-
 // ------------------------------------------------------ determinism + bounds
 
 TEST(GhpDeterminism, ModeledMetricsBitIdenticalAcrossThreadCounts) {

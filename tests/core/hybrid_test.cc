@@ -241,9 +241,7 @@ std::string ModeTrace(const EdgeListGraph& g, P program, JobConfig cfg) {
   for (const auto& s : engine.stats().supersteps) {
     trace += s.mode == EngineMode::kPush
                  ? 'P'
-                 : (s.mode == EngineMode::kBPull
-                        ? 'B'
-                        : (s.mode == EngineMode::kGraphHp ? 'G' : '?'));
+                 : (s.mode == EngineMode::kBPull ? 'B' : '?');
     if (s.switched) {
       if (!switches.empty()) switches += ',';
       switches += std::to_string(s.superstep);
@@ -295,42 +293,6 @@ TEST(HybridGolden, WccScatteredSwitchSequence) {
 TEST(HybridGolden, WccLocalSwitchSequence) {
   EXPECT_EQ(ModeTrace(LocalGraph(), WccProgram{}, HybridConfig(150, 60)),
             "BBBBBBBBBP switches=[9]");
-}
-
-// Three-regime goldens: with hybrid_regime_graphhp the Eq. (11) cost table
-// gains a GraphHP row (priced on the responding Vblocks' intra-block edge
-// share), so locally-iterable runs may switch into 'G' supersteps. These pin
-// the three-way decision sequence the same way the two-regime goldens above
-// pin the binary one.
-TEST(HybridGolden, WccLocalThreeRegimeSwitchSequence) {
-  JobConfig cfg = HybridConfig(150, 60);
-  cfg.hybrid_regime_graphhp = true;
-  // vs two-regime "BBBBBBBBBP": the tail frontier is intra-block heavy, so
-  // the GraphHP row outprices plain push for the final sweep.
-  EXPECT_EQ(ModeTrace(LocalGraph(), WccProgram{}, cfg),
-            "BBBBBBBBBG switches=[9]");
-}
-
-TEST(HybridGolden, SsspLocalThreeRegimeSwitchSequence) {
-  SsspProgram program;
-  program.source = 1;
-  JobConfig cfg = HybridConfig(100, 120);
-  cfg.hybrid_regime_graphhp = true;
-  // vs two-regime "PPBBBBBBBBBBPPPP switches=[2,12]": the sparse-frontier
-  // push phases at both ends hand their intra-block share to GraphHP; the
-  // dense middle still pulls.
-  EXPECT_EQ(ModeTrace(GeneratePowerLaw(2000, 12.0, 0.9, 5, /*locality=*/0.7),
-                      program, cfg),
-            "PGGBBBBBBBBBGGPP switches=[1,3,12,14]");
-}
-
-TEST(HybridGolden, ThreeRegimeTableInertForNonIterablePrograms) {
-  // PageRank's sum fold is not locally iterable, so enabling the third
-  // regime must not perturb the binary decision sequence at all.
-  JobConfig cfg = HybridConfig(200, 6);
-  cfg.hybrid_regime_graphhp = true;
-  EXPECT_EQ(ModeTrace(LocalGraph(), PageRankProgram{}, cfg),
-            "BBBBBB switches=[]");
 }
 
 TEST(Hybrid, SwitchSuperstepDoesBothPullAndPush) {

@@ -6,7 +6,6 @@
 
 #include "algos/lpa.h"
 #include "algos/pagerank.h"
-#include "algos/wcc.h"
 #include "core/engine.h"
 #include "graph/generator.h"
 
@@ -157,58 +156,6 @@ TEST(MessageFlow, ConcatOnlyAlgorithmStillSavesIds) {
     return bytes;
   };
   EXPECT_LT(net(EngineMode::kBPull), net(EngineMode::kPush));
-}
-
-TEST(MessageFlow, SpillCombiningShrinksRunsAndPreservesPageRank) {
-  // Receiver-side spill combining (Giraph-style): runs shrink on disk and
-  // the merge emits pre-combined messages, but the per-vertex totals must be
-  // unchanged. PageRank sums floats, so combining reorders additions —
-  // values match to FP tolerance, not bit-for-bit.
-  const auto g = TestGraph();
-  auto run = [&](bool combine) {
-    JobConfig cfg = Base(EngineMode::kPush);
-    cfg.msg_buffer_per_node = 100;  // force heavy spilling
-    cfg.io.spill_combining = combine;
-    Engine<PageRankProgram> engine(cfg, PageRankProgram{});
-    EXPECT_TRUE(engine.Load(g).ok());
-    EXPECT_TRUE(engine.Run().ok());
-    return std::make_pair(engine.GatherValues().ValueOrDie(), engine.stats());
-  };
-  const auto [plain_values, plain] = run(false);
-  const auto [com_values, com] = run(true);
-  ASSERT_EQ(plain_values.size(), com_values.size());
-  for (size_t v = 0; v < plain_values.size(); ++v) {
-    ASSERT_NEAR(plain_values[v], com_values[v], 1e-9) << "vertex " << v;
-  }
-  uint64_t plain_spill_io = 0, com_spill_io = 0, com_count = 0;
-  for (const auto& s : plain.supersteps) {
-    plain_spill_io += s.io.msg_spill_write + s.io.msg_spill_read;
-  }
-  for (const auto& s : com.supersteps) {
-    com_spill_io += s.io.msg_spill_write + s.io.msg_spill_read;
-    com_count += s.spill_combined;
-  }
-  EXPECT_GT(com_count, 0u);
-  EXPECT_LT(com_spill_io, plain_spill_io);
-  // Plain push reports no spill-path combining.
-  for (const auto& s : plain.supersteps) EXPECT_EQ(s.spill_combined, 0u);
-}
-
-TEST(MessageFlow, SpillCombiningExactForMinCombiner) {
-  // WCC combines with min — associative, commutative, and exact — so
-  // spill-combined runs must produce bit-identical component labels.
-  const auto g = TestGraph();
-  auto run = [&](bool combine) {
-    JobConfig cfg = Base(EngineMode::kPush);
-    cfg.msg_buffer_per_node = 100;
-    cfg.io.spill_combining = combine;
-    cfg.max_supersteps = 12;  // enough for labels to propagate
-    Engine<WccProgram> engine(cfg, WccProgram{});
-    EXPECT_TRUE(engine.Load(g).ok());
-    EXPECT_TRUE(engine.Run().ok());
-    return engine.GatherValues().ValueOrDie();
-  };
-  EXPECT_EQ(run(false), run(true));  // exactly identical labels
 }
 
 TEST(CostModel, PushCostGrowsAsBufferShrinks) {

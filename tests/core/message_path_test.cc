@@ -592,10 +592,8 @@ TEST(PullResponseGolden, ResponseBytesArePinned) {
 /// sender, receiver, post), then runs by (superstep, storage key). Runs are
 /// read after each superstep, while the promoted inbox still holds them.
 template <typename P>
-uint64_t PushWireDigest(P program, bool spill_combining, bool sender_combining,
-                        uint32_t threads) {
+uint64_t PushWireDigest(P program, bool sender_combining, uint32_t threads) {
   JobConfig cfg = BaseConfig(EngineMode::kPush, threads);
-  cfg.io.spill_combining = spill_combining;
   cfg.push_sender_combining = sender_combining;
   cfg.max_supersteps = 6;
   Engine<P> engine(cfg, program);
@@ -650,27 +648,21 @@ TEST(PushWireGolden, BatchAndSpillRunBytesArePinned) {
   struct Case {
     const char* name;
     bool lpa;
-    bool spill_combining;
     bool sender_combining;
     uint64_t golden;
   };
   const Case cases[] = {
-      {"pagerank", false, false, false, 0x45400b026bc4cf3eULL},
-      {"pagerank-spillcom", false, true, false, 0x85d8a91f1b8b2631ULL},
-      {"pagerank-sendcom", false, false, true, 0x5e05cf328f95beeeULL},
-      {"pagerank-both", false, true, true, 0xc275ab4c06fb372fULL},
-      {"lpa", true, false, false, 0xf273fd67c16bdaddULL},
-      {"lpa-spillcom", true, true, false, 0xf273fd67c16bdaddULL},
-      {"lpa-sendcom", true, false, true, 0xf273fd67c16bdaddULL},
-      {"lpa-both", true, true, true, 0xf273fd67c16bdaddULL},
+      {"pagerank", false, false, 0x45400b026bc4cf3eULL},
+      {"pagerank-sendcom", false, true, 0x5e05cf328f95beeeULL},
+      {"lpa", true, false, 0xf273fd67c16bdaddULL},
+      {"lpa-sendcom", true, true, 0xf273fd67c16bdaddULL},
   };
   for (const Case& c : cases) {
     for (const uint32_t threads : {1u, 8u}) {
       const uint64_t got =
-          c.lpa ? PushWireDigest(LpaProgram{}, c.spill_combining,
-                                 c.sender_combining, threads)
-                : PushWireDigest(PageRankProgram{}, c.spill_combining,
-                                 c.sender_combining, threads);
+          c.lpa ? PushWireDigest(LpaProgram{}, c.sender_combining, threads)
+                : PushWireDigest(PageRankProgram{}, c.sender_combining,
+                                 threads);
       EXPECT_EQ(got, c.golden) << c.name << " threads=" << threads
                                << " got 0x" << std::hex << got;
     }

@@ -59,14 +59,13 @@ TEST(MetricsCsv, ValuesMatchStats) {
   const std::string csv = SuperstepMetricsCsv(stats);
   const auto lines = SplitString(TrimString(csv), '\n');
   const auto header = SplitString(lines[0], ',');
-  size_t msgs_col = 0, io_col = 0, buf_col = 0, res_col = 0, com_col = 0;
+  size_t msgs_col = 0, io_col = 0, buf_col = 0, res_col = 0;
   size_t psch_col = 0, phit_col = 0, pmiss_col = 0, pbytes_col = 0;
   for (size_t c = 0; c < header.size(); ++c) {
     if (header[c] == "messages") msgs_col = c;
     if (header[c] == "io_total") io_col = c;
     if (header[c] == "spill_buffer_bytes") buf_col = c;
     if (header[c] == "spill_resident_peak") res_col = c;
-    if (header[c] == "spill_combined") com_col = c;
     if (header[c] == "prefetch_scheduled") psch_col = c;
     if (header[c] == "prefetch_hits") phit_col = c;
     if (header[c] == "prefetch_misses") pmiss_col = c;
@@ -76,7 +75,6 @@ TEST(MetricsCsv, ValuesMatchStats) {
   ASSERT_GT(io_col, 0u);
   ASSERT_GT(buf_col, 0u);
   ASSERT_GT(res_col, 0u);
-  ASSERT_GT(com_col, 0u);
   ASSERT_GT(psch_col, 0u);
   ASSERT_GT(phit_col, 0u);
   ASSERT_GT(pmiss_col, 0u);
@@ -90,7 +88,6 @@ TEST(MetricsCsv, ValuesMatchStats) {
               stats.supersteps[i].spill_merge_buffer_bytes);
     EXPECT_EQ(std::stoull(row[res_col]),
               stats.supersteps[i].spill_peak_resident);
-    EXPECT_EQ(std::stoull(row[com_col]), stats.supersteps[i].spill_combined);
     EXPECT_EQ(std::stoull(row[psch_col]),
               stats.supersteps[i].prefetch_scheduled);
     EXPECT_EQ(std::stoull(row[phit_col]), stats.supersteps[i].prefetch_hits);

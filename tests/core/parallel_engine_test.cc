@@ -50,7 +50,6 @@ void ExpectSameMetrics(const SuperstepMetrics& a, const SuperstepMetrics& b,
   EXPECT_EQ(a.memory_highwater_bytes, b.memory_highwater_bytes) << where;
   EXPECT_EQ(a.spill_merge_buffer_bytes, b.spill_merge_buffer_bytes) << where;
   EXPECT_EQ(a.spill_peak_resident, b.spill_peak_resident) << where;
-  EXPECT_EQ(a.spill_combined, b.spill_combined) << where;
   EXPECT_EQ(a.aggregate, b.aggregate) << where;
   EXPECT_EQ(a.q_t, b.q_t) << where;
   EXPECT_EQ(a.predicted_mco, b.predicted_mco) << where;

@@ -14,6 +14,7 @@
 #include "core/epoch_driver.h"
 #include "graph/generator.h"
 #include "serve/serve_server.h"
+#include "util/codec.h"
 
 namespace hybridgraph {
 namespace {
@@ -71,6 +72,20 @@ TEST(ServeProtocol, GetAndTopKRoundTrip) {
   ASSERT_EQ(tgot.entries.size(), 2u);
   EXPECT_EQ(tgot.entries[0].vertex, 10u);
   EXPECT_DOUBLE_EQ(tgot.entries[1].value, 0.8);
+}
+
+TEST(ServeProtocol, TopKResponseCountBeyondTheBytesIsCorruption) {
+  // A 1-entry response claiming 2^40 entries must not reach reserve().
+  Buffer buf;
+  Encoder enc(&buf);
+  enc.PutFixed64(5);  // epoch
+  enc.PutFixed64(4);  // timestamp
+  enc.PutVarint64(uint64_t{1} << 40);
+  enc.PutFixed32(10);
+  enc.PutDouble(0.9);
+  TopKResponse got;
+  EXPECT_EQ(DecodeTopKResponse(buf.AsSlice(), &got).code(),
+            StatusCode::kCorruption);
 }
 
 TEST(ServeProtocol, StatsRoundTrip) {
