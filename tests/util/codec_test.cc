@@ -16,10 +16,10 @@ TEST(Codec, FixedWidthRoundTrip) {
   enc.PutFixed64(0x0123456789ABCDEFULL);
 
   Decoder dec(buf.AsSlice());
-  uint8_t u8;
-  uint16_t u16;
-  uint32_t u32;
-  uint64_t u64;
+  uint8_t u8 = 0;
+  uint16_t u16 = 0;
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
   ASSERT_TRUE(dec.GetU8(&u8).ok());
   ASSERT_TRUE(dec.GetFixed16(&u16).ok());
   ASSERT_TRUE(dec.GetFixed32(&u32).ok());
@@ -50,7 +50,7 @@ TEST(Codec, VarintBoundaries) {
     enc.PutVarint64(v);
     EXPECT_EQ(buf.size(), VarintLength(v)) << v;
     Decoder dec(buf.AsSlice());
-    uint64_t out;
+    uint64_t out = 0;
     ASSERT_TRUE(dec.GetVarint64(&out).ok()) << v;
     EXPECT_EQ(out, v);
     EXPECT_TRUE(dec.AtEnd());
@@ -64,7 +64,7 @@ TEST(Codec, SignedVarintRoundTrip) {
     Encoder enc(&buf);
     enc.PutSignedVarint64(v);
     Decoder dec(buf.AsSlice());
-    int64_t out;
+    int64_t out = 0;
     ASSERT_TRUE(dec.GetSignedVarint64(&out).ok()) << v;
     EXPECT_EQ(out, v);
   }
@@ -76,8 +76,8 @@ TEST(Codec, FloatsRoundTrip) {
   enc.PutFloat(3.14f);
   enc.PutDouble(-2.718281828459045);
   Decoder dec(buf.AsSlice());
-  float f;
-  double d;
+  float f = 0;
+  double d = 0;
   ASSERT_TRUE(dec.GetFloat(&f).ok());
   ASSERT_TRUE(dec.GetDouble(&d).ok());
   EXPECT_FLOAT_EQ(f, 3.14f);
@@ -104,13 +104,13 @@ TEST(Codec, TruncatedInputsFailCleanly) {
   enc.PutFixed64(42);
   // Chop one byte off.
   Decoder dec(Slice(buf.data(), buf.size() - 1));
-  uint64_t out;
+  uint64_t out = 0;
   EXPECT_EQ(dec.GetFixed64(&out).code(), StatusCode::kOutOfRange);
 
   Decoder empty{Slice()};
-  uint8_t b;
+  uint8_t b = 0;
   EXPECT_FALSE(empty.GetU8(&b).ok());
-  uint64_t v;
+  uint64_t v = 0;
   EXPECT_FALSE(empty.GetVarint64(&v).ok());
 }
 
@@ -118,16 +118,16 @@ TEST(Codec, TruncatedVarintFails) {
   // A varint with continuation bit set but no following byte.
   uint8_t bad[] = {0x80};
   Decoder dec(Slice(bad, 1));
-  uint64_t v;
+  uint64_t v = 0;
   EXPECT_EQ(dec.GetVarint64(&v).code(), StatusCode::kOutOfRange);
 }
 
 TEST(Codec, OverlongVarintIsCorruption) {
   // 11 continuation bytes exceed 64 bits.
-  std::vector<uint8_t> bad(11, 0x80);
-  bad.push_back(0x01);
+  std::vector<uint8_t> bad(12, 0x80);
+  bad.back() = 0x01;
   Decoder dec{Slice(bad)};
-  uint64_t v;
+  uint64_t v = 0;
   EXPECT_EQ(dec.GetVarint64(&v).code(), StatusCode::kCorruption);
 }
 
@@ -139,7 +139,7 @@ TEST(Codec, SkipAndPosition) {
   Decoder dec(buf.AsSlice());
   ASSERT_TRUE(dec.Skip(4).ok());
   EXPECT_EQ(dec.position(), 4u);
-  uint32_t v;
+  uint32_t v = 0;
   ASSERT_TRUE(dec.GetFixed32(&v).ok());
   EXPECT_EQ(v, 2u);
   EXPECT_FALSE(dec.Skip(1).ok());
@@ -170,9 +170,9 @@ TEST_P(CodecFuzzTest, RandomSequenceRoundTrips) {
 
   Decoder dec(buf.AsSlice());
   for (int i = 0; i < kOps; ++i) {
-    uint64_t v;
-    uint32_t f;
-    double d;
+    uint64_t v = 0;
+    uint32_t f = 0;
+    double d = 0;
     ASSERT_TRUE(dec.GetVarint64(&v).ok());
     ASSERT_TRUE(dec.GetFixed32(&f).ok());
     ASSERT_TRUE(dec.GetDouble(&d).ok());
