@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/epoch_driver.h"
+#include "hybridgraph/any_engine.h"
 
 using namespace hybridgraph;
 using namespace hybridgraph::bench;
@@ -57,7 +57,7 @@ bool MeasureCold(const EdgeListGraph& graph, Row* row) {
   auto engine = MakeEpochEngine(StreamConfig(), EpochAlgoSpec{}).ValueOrDie();
   if (!engine->Load(graph).ok()) return false;
   const auto t0 = std::chrono::steady_clock::now();
-  if (!engine->RunInitial().ok()) return false;
+  if (!engine->Run().ok()) return false;
   const auto t1 = std::chrono::steady_clock::now();
   row->cold_io_bytes = engine->stats().TotalIoBytes();
   row->cold_wall_s = std::chrono::duration<double>(t1 - t0).count();
@@ -74,7 +74,7 @@ bool MeasureStream(const DatasetSpec& spec, uint32_t batch_size,
 
   auto engine = MakeEpochEngine(StreamConfig(), EpochAlgoSpec{}).ValueOrDie();
   if (!engine->Load(graph).ok()) return false;
-  if (!engine->RunInitial().ok()) return false;
+  if (!engine->Run().ok()) return false;
 
   EdgeStreamOptions so;
   so.num_batches = kEpochsPerSize;

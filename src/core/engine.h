@@ -146,7 +146,7 @@ class Engine {
     return driver_.RestoreCheckpoint(data);
   }
 
-  /// The underlying driver; core/epoch_driver.h starts streaming epochs
+  /// The underlying driver; AnyEngine::RunEpoch starts streaming epochs
   /// through its StartEpoch.
   SuperstepDriver<P>& driver() { return driver_; }
 

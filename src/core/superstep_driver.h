@@ -375,8 +375,8 @@ class SuperstepDriver {
 
   // ------------------------------------------------ streaming epoch entry
 
-  /// Starts a streaming epoch over the already-mutated stores (the epoch
-  /// driver applies the batch first, core/epoch_driver.h): seeds the
+  /// Starts a streaming epoch over the already-mutated stores (AnyEngine::
+  /// RunEpoch applies the batch first with ApplyEdgeBatch): seeds the
   /// frontier per `seed`, rewinds the BSP state to superstep 0 with fresh
   /// hybrid and aggregator state, and re-decides the initial mode from the
   /// epoch's frontier. The normal Run() loop then reconverges. `touched` is

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <utility>
 
 #include "algos/bfs.h"
@@ -11,12 +12,30 @@
 #include "algos/sa.h"
 #include "algos/sssp.h"
 #include "algos/wcc.h"
+#include "core/aggregators.h"
 #include "core/engine.h"
 #include "net/message_codec.h"
 
 namespace hybridgraph {
 
 namespace {
+
+/// The streaming mode rule: the modes whose stores ApplyEdgeBatch mutates
+/// and whose epochs the differential tests hold to a cold recompute.
+Status CheckStreamingMode(EngineMode mode) {
+  switch (mode) {
+    case EngineMode::kPush:
+    case EngineMode::kPushM:
+    case EngineMode::kBPull:
+    case EngineMode::kHybrid:
+    case EngineMode::kGraphHp:
+      return Status::OK();
+    default:
+      return Status::FailedPrecondition(
+          "streaming epochs require a block-centric mode "
+          "(push, pushM, bpull, hybrid or graphhp)");
+  }
+}
 
 VertexId MaxOutDegreeVertex(const EdgeListGraph& graph) {
   const auto degrees = graph.OutDegrees();
@@ -79,6 +98,98 @@ class TypedEngine final : public AnyEngine {
     return out;
   }
 
+  uint64_t num_vertices() const override {
+    return engine_ ? engine_->partition().num_vertices() : 0;
+  }
+
+  Status CheckStreamable() const override {
+    // The streaming algorithm rule. Seeding only a batch's endpoints reaches
+    // the cold fixpoint only when an improvement can originate nowhere else:
+    // true for monotone, locally iterable programs. Always-Active programs
+    // reseed the whole graph, which converges again only under an
+    // aggregator halt (a fixed superstep count or a label vote never does).
+    if constexpr (!(LocallyIterable<P> ||
+                    (P::kAlwaysActive && HasAggregateHalt<P>))) {
+      return Status::FailedPrecondition(
+          "streaming epochs need a locally iterable (monotone) program or "
+          "an Always-Active one with an aggregator halt");
+    }
+    return CheckStreamingMode(config_.mode);
+  }
+
+  Status RunEpoch(const EdgeBatch& batch, EpochMetrics* m) override {
+    HG_RETURN_IF_ERROR(CheckStreamable());
+    if (!engine_) return Status::FailedPrecondition("Load() first");
+    auto& drv = engine_->driver();
+    // Snapshot the modeled meters so the epoch reports deltas.
+    auto storage_bytes = [&drv](bool writes) {
+      uint64_t total = 0;
+      for (auto& node : drv.nodes()) {
+        const DiskMeter* meter = node.storage->meter();
+        total += writes ? meter->WriteBytes() : meter->ReadBytes();
+      }
+      return total;
+    };
+    const uint64_t read0 = storage_bytes(false), write0 = storage_bytes(true);
+    const uint64_t net0 = drv.transport().TotalBytesSent();
+    const double modeled0 = drv.stats().modeled_seconds;
+    const size_t supersteps0 = drv.stats().supersteps.size();
+
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<VertexId> touched;
+    HG_RETURN_IF_ERROR(
+        ApplyEdgeBatch(drv.partition(), batch, drv.nodes(), &touched));
+    const auto t1 = std::chrono::steady_clock::now();
+
+    // Insert-only batches of a monotone program: every possible improvement
+    // originates at a new edge's source, which re-announces its converged
+    // value at superstep 0.
+    const EpochSeed seed = P::kAlwaysActive ? EpochSeed::kAll
+                           : batch.HasDeletes() ? EpochSeed::kReinit
+                                                : EpochSeed::kTouched;
+    HG_RETURN_IF_ERROR(drv.StartEpoch(seed, touched));
+    HG_RETURN_IF_ERROR(engine_->Run());
+    const auto t2 = std::chrono::steady_clock::now();
+
+    if (m != nullptr) {
+      *m = EpochMetrics{};
+      m->epoch = epochs_run_;
+      m->timestamp = batch.timestamp;
+      m->batch_deltas = batch.deltas.size();
+      m->inserts = batch.NumInserts();
+      m->deletes = batch.NumDeletes();
+      m->touched_vertices = touched.size();
+      m->warm = seed != EpochSeed::kReinit;
+      m->supersteps = drv.stats().supersteps.size() - supersteps0;
+      m->ingest_wall_s = std::chrono::duration<double>(t1 - t0).count();
+      m->converge_wall_s = std::chrono::duration<double>(t2 - t1).count();
+      m->modeled_seconds = drv.stats().modeled_seconds - modeled0;
+      m->read_bytes = storage_bytes(false) - read0;
+      m->write_bytes = storage_bytes(true) - write0;
+      m->net_bytes = drv.transport().TotalBytesSent() - net0;
+      for (auto& node : drv.nodes()) {
+        if (node.ve != nullptr) {
+          m->delta_runs += node.ve->DeltaRunCount();
+          m->delta_bytes += node.ve->DeltaBytes();
+        }
+      }
+    }
+    ++epochs_run_;
+    return Status::OK();
+  }
+
+  Status CompactAll(uint64_t min_runs) override {
+    if (!engine_) return Status::FailedPrecondition("Load() first");
+    for (auto& node : engine_->driver().nodes()) {
+      if (node.ve != nullptr) {
+        HG_RETURN_IF_ERROR(node.ve->CompactAll(min_runs));
+      }
+    }
+    return Status::OK();
+  }
+
+  uint64_t epochs_run() const override { return epochs_run_; }
+
  private:
   Result<std::vector<Value>> Gather() {
     if (!engine_) return Status::FailedPrecondition("Load() first");
@@ -91,6 +202,7 @@ class TypedEngine final : public AnyEngine {
   ToDouble to_double_;
   std::unique_ptr<Engine<P>> engine_;
   JobStats empty_stats_;
+  uint64_t epochs_run_ = 0;
 };
 
 template <typename P, typename Prepare, typename ToDouble>
@@ -137,8 +249,10 @@ const AlgoEntry kAlgoTable[] = {
        return MakeTyped(c, PageRankProgram{}, kNoPrepare, kNumericValue);
      }},
     {AlgoKind::kPageRankDelta, "pagerank-delta",
-     [](const JobConfig& c, const AlgoSpec&) {
-       return MakeTyped(c, PageRankDeltaProgram{}, kNoPrepare, kNumericValue);
+     [](const JobConfig& c, const AlgoSpec& spec) {
+       PageRankDeltaProgram program;
+       if (spec.tolerance != 0) program.tolerance = spec.tolerance;
+       return MakeTyped(c, program, kNoPrepare, kNumericValue);
      }},
     {AlgoKind::kSssp, "sssp", &MakeSourced<SsspProgram>},
     {AlgoKind::kBfs, "bfs", &MakeSourced<BfsProgram>},
@@ -184,6 +298,20 @@ Result<std::unique_ptr<AnyEngine>> MakeEngine(const JobConfig& config,
     if (entry.kind == spec.kind) return entry.make(config, spec);
   }
   return Status::InvalidArgument("unknown AlgoKind");
+}
+
+Result<std::unique_ptr<AnyEngine>> MakeEpochEngine(const JobConfig& config,
+                                                   const EpochAlgoSpec& spec) {
+  AlgoSpec algo;
+  HG_ASSIGN_OR_RETURN(algo.kind, ParseAlgoKind(spec.name));
+  algo.source = spec.source;
+  algo.source_set = true;
+  algo.tolerance = spec.tolerance;
+  HG_ASSIGN_OR_RETURN(std::unique_ptr<AnyEngine> engine,
+                      MakeEngine(config, algo));
+  const Status rules = engine->CheckStreamable();
+  if (!rules.ok()) return Status::InvalidArgument(rules.message());
+  return engine;
 }
 
 }  // namespace hybridgraph

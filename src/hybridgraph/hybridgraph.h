@@ -18,6 +18,10 @@
 //   auto ranks = engine->GatherValuesAsDouble();  // Result<std::vector<double>>
 //   const JobStats& stats = engine->stats();
 //
+// Streaming: MakeEpochEngine(cfg, EpochAlgoSpec{}) builds the same AnyEngine
+// for a streamable program; after Load and Run, each RunEpoch(batch, &m)
+// ingests one edge batch and reconverges by delta propagation.
+//
 // Custom vertex programs use Engine<P> directly, in any mode (see
 // examples/custom_algorithm.cpp).
 //
@@ -37,7 +41,6 @@
 #include "algos/wcc.h"
 #include "core/aggregators.h"
 #include "core/engine.h"
-#include "core/epoch_driver.h"
 #include "core/recovery.h"
 #include "core/job_config.h"
 #include "core/program.h"

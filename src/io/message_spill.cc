@@ -276,7 +276,6 @@ Status MessageSpill::MergeIterator::PrimeNext() {
   std::memcpy(current_payload_.data(), rc.buf.data() + rc.buf_pos + 4,
               payload_size_);
   HG_RETURN_IF_ERROR(ConsumeWinner());
-  ++entries_emitted_;
   valid_ = true;
   peak_resident_entries_ = std::max(peak_resident_entries_, resident_entries_ + 1);
   return Status::OK();

@@ -85,8 +85,6 @@ class MessageSpill {
 
     /// Entries decoded from disk so far (= bytes consumed / record size).
     uint64_t entries_read() const { return entries_read_; }
-    /// Entries emitted through dst()/payload() so far.
-    uint64_t entries_emitted() const { return entries_emitted_; }
     /// Fixed buffer allocation of this merge: num_runs × per-run chunk.
     uint64_t buffer_bytes() const { return buffer_bytes_; }
     /// Peak number of spill entries resident in memory at once (buffered
@@ -154,7 +152,6 @@ class MessageSpill {
     std::vector<uint8_t> current_payload_;
     bool valid_ = false;
     uint64_t entries_read_ = 0;
-    uint64_t entries_emitted_ = 0;
     uint64_t resident_entries_ = 0;
     uint64_t peak_resident_entries_ = 0;
   };

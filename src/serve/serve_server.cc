@@ -7,7 +7,7 @@
 
 namespace hybridgraph {
 
-ServeServer::ServeServer(AnyEpochEngine* engine, Options options)
+ServeServer::ServeServer(AnyEngine* engine, Options options)
     : engine_(engine), options_(std::move(options)) {}
 
 ServeServer::~ServeServer() { Stop(); }
@@ -87,7 +87,7 @@ Status ServeServer::Start() {
     std::lock_guard<std::mutex> lock(mu_);
     if (running_) return Status::FailedPrecondition("already started");
   }
-  HG_RETURN_IF_ERROR(engine_->RunInitial());
+  HG_RETURN_IF_ERROR(engine_->Run());
   HG_RETURN_IF_ERROR(PublishSnapshot(/*timestamp=*/0));
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -204,7 +204,7 @@ void ServeServer::EpochLoop() {
 }
 
 Status ServeServer::PublishSnapshot(uint64_t timestamp) {
-  auto values = engine_->Values();
+  auto values = engine_->GatherValuesAsDouble();
   if (!values.ok()) return values.status();
   auto snap = std::make_shared<Snapshot>();
   snap->epoch = engine_->epochs_run();

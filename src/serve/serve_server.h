@@ -1,5 +1,5 @@
 // The hg_serve core: a long-lived streaming graph service over one
-// AnyEpochEngine.
+// streaming AnyEngine (MakeEpochEngine).
 //
 // Threading model:
 //   - The *epoch thread* (owned here) is the only thread that ever touches
@@ -26,7 +26,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/epoch_driver.h"
+#include "hybridgraph/any_engine.h"
 #include "net/transport.h"
 #include "serve/serve_protocol.h"
 #include "serve/snapshot.h"
@@ -49,7 +49,7 @@ class ServeServer {
 
   /// `engine` must be Load()ed but not yet run; the server runs the cold
   /// initial convergence in Start(). The engine must outlive the server.
-  ServeServer(AnyEpochEngine* engine, Options options);
+  ServeServer(AnyEngine* engine, Options options);
   ~ServeServer();
 
   /// Registers the four kServe* handlers for `node` on `transport`. Must be
@@ -86,7 +86,7 @@ class ServeServer {
   Status PublishSnapshot(uint64_t timestamp);
   Status AppendMetricsFiles();
 
-  AnyEpochEngine* engine_;
+  AnyEngine* engine_;
   Options options_;
   SnapshotBoard board_;
 

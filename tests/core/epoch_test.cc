@@ -10,9 +10,9 @@
 #include <memory>
 #include <vector>
 
-#include "core/epoch_driver.h"
 #include "graph/edge_delta.h"
 #include "graph/generator.h"
+#include "hybridgraph/any_engine.h"
 
 namespace hybridgraph {
 namespace {
@@ -47,8 +47,8 @@ std::vector<double> ColdValues(const JobConfig& cfg, const EpochAlgoSpec& spec,
                                const EdgeListGraph& graph) {
   auto engine = MakeEpochEngine(cfg, spec).ValueOrDie();
   EXPECT_TRUE(engine->Load(graph).ok());
-  EXPECT_TRUE(engine->RunInitial().ok());
-  return engine->Values().ValueOrDie();
+  EXPECT_TRUE(engine->Run().ok());
+  return engine->GatherValuesAsDouble().ValueOrDie();
 }
 
 /// Runs `stream` through one epoch engine, comparing values to the cold
@@ -58,7 +58,7 @@ void RunDifferential(const JobConfig& cfg, const EpochAlgoSpec& spec,
                      double tol, std::vector<EpochMetrics>* metrics = nullptr) {
   auto epoch_engine = MakeEpochEngine(cfg, spec).ValueOrDie();
   ASSERT_TRUE(epoch_engine->Load(graph).ok());
-  ASSERT_TRUE(epoch_engine->RunInitial().ok());
+  ASSERT_TRUE(epoch_engine->Run().ok());
   for (size_t i = 0; i < stream.size(); ++i) {
     EpochMetrics m;
     ASSERT_TRUE(epoch_engine->RunEpoch(stream[i], &m).ok())
@@ -67,7 +67,7 @@ void RunDifferential(const JobConfig& cfg, const EpochAlgoSpec& spec,
     if (metrics != nullptr) metrics->push_back(m);
 
     ApplyBatchToGraph(&graph, stream[i]);
-    const std::vector<double> got = epoch_engine->Values().ValueOrDie();
+    const std::vector<double> got = epoch_engine->GatherValuesAsDouble().ValueOrDie();
     const std::vector<double> want = ColdValues(cfg, spec, graph);
     ASSERT_EQ(got.size(), want.size());
     for (size_t v = 0; v < got.size(); ++v) {
@@ -177,7 +177,7 @@ TEST(EpochDifferential, PageRankDeltaWarmEpochsAreCheaper) {
 
   auto engine = MakeEpochEngine(cfg, spec).ValueOrDie();
   ASSERT_TRUE(engine->Load(g).ok());
-  ASSERT_TRUE(engine->RunInitial().ok());
+  ASSERT_TRUE(engine->Run().ok());
   const uint64_t cold_supersteps = engine->stats().supersteps.size();
 
   auto stream = Stream(g, 2, 10, 0.0, 909);
@@ -210,7 +210,7 @@ void ExpectPinnedEpochs(const EpochAlgoSpec& spec, const EdgeListGraph& g,
   cfg.max_supersteps = 400;
   auto engine = MakeEpochEngine(cfg, spec).ValueOrDie();
   ASSERT_TRUE(engine->Load(g).ok());
-  ASSERT_TRUE(engine->RunInitial().ok());
+  ASSERT_TRUE(engine->Run().ok());
   ASSERT_EQ(stream.size(), want.size());
   for (size_t i = 0; i < stream.size(); ++i) {
     SCOPED_TRACE(spec.name + " epoch " + std::to_string(i));
@@ -269,14 +269,14 @@ TEST(EpochDifferential, ModeledMetricsBitIdenticalAcrossThreadCounts) {
     auto engine =
         MakeEpochEngine(Base(EngineMode::kHybrid, threads), spec).ValueOrDie();
     EXPECT_TRUE(engine->Load(g).ok());
-    EXPECT_TRUE(engine->RunInitial().ok());
+    EXPECT_TRUE(engine->Run().ok());
     std::vector<EpochMetrics> ms;
     for (const auto& batch : stream) {
       EpochMetrics m;
       EXPECT_TRUE(engine->RunEpoch(batch, &m).ok());
       ms.push_back(m);
     }
-    return std::make_pair(ms, engine->Values().ValueOrDie());
+    return std::make_pair(ms, engine->GatherValuesAsDouble().ValueOrDie());
   };
 
   const auto [m1, v1] = run(1);
@@ -301,6 +301,81 @@ TEST(EpochDifferential, VPullModeRejected) {
   EXPECT_FALSE(MakeEpochEngine(cfg, EpochAlgoSpec{}).ok());
 }
 
+TEST(EpochDifferential, NonStreamableAlgorithmsAndModesRejectedBeforeLoad) {
+  // PageRank runs a fixed superstep count and LPA votes without a halt, so
+  // neither reconverges from a warm restart; SA is neither monotone nor
+  // Always-Active. Adaptive and v-pull fall outside the streaming modes.
+  for (const char* name : {"pagerank", "lpa", "sa"}) {
+    EpochAlgoSpec spec;
+    spec.name = name;
+    const auto engine = MakeEpochEngine(Base(EngineMode::kHybrid), spec);
+    EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument) << name;
+  }
+  for (EngineMode mode : {EngineMode::kAdaptive, EngineMode::kVPull}) {
+    EpochAlgoSpec spec;
+    spec.name = "sssp";
+    const auto engine = MakeEpochEngine(Base(mode), spec);
+    EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument)
+        << EngineModeName(mode);
+  }
+}
+
+TEST(EpochDifferential, RunEpochOnNonStreamableEngineFailsPrecondition) {
+  EdgeListGraph g = TestGraph(100, 87);
+  const EdgeBatch batch = Stream(g, 1, 8, 0.0, 915)[0];
+  auto pagerank =
+      MakeEngine(Base(EngineMode::kHybrid), AlgoKind::kPageRank).ValueOrDie();
+  ASSERT_TRUE(pagerank->Load(g).ok());
+  ASSERT_TRUE(pagerank->Run().ok());
+  EXPECT_EQ(pagerank->RunEpoch(batch, nullptr).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(pagerank->epochs_run(), 0u);
+
+  auto adaptive =
+      MakeEngine(Base(EngineMode::kAdaptive), AlgoKind::kSssp).ValueOrDie();
+  ASSERT_TRUE(adaptive->Load(g).ok());
+  ASSERT_TRUE(adaptive->Run().ok());
+  EXPECT_EQ(adaptive->RunEpoch(batch, nullptr).code(),
+            StatusCode::kFailedPrecondition);
+}
+
+TEST(EpochDifferential, MakeEngineAndMakeEpochEngineRunIdenticalEpochs) {
+  // Both factories build the same TypedEngine: with the source pinned, the
+  // batch-job engine streams exactly like the epoch engine.
+  EdgeListGraph g = TestGraph(300, 88);
+  const auto stream = Stream(g, 5, 30, 0.3, 916);
+  const JobConfig cfg = Base(EngineMode::kHybrid);
+  EpochAlgoSpec epoch_spec;
+  epoch_spec.name = "sssp";
+  epoch_spec.source = 17;
+  AlgoSpec spec;
+  spec.kind = AlgoKind::kSssp;
+  spec.source = 17;
+  spec.source_set = true;
+  auto a = MakeEngine(cfg, spec).ValueOrDie();
+  auto b = MakeEpochEngine(cfg, epoch_spec).ValueOrDie();
+  for (AnyEngine* e : {a.get(), b.get()}) {
+    ASSERT_TRUE(e->Load(g).ok());
+    ASSERT_TRUE(e->Run().ok());
+  }
+  EXPECT_EQ(a->GatherValuesAsDouble().ValueOrDie(),
+            b->GatherValuesAsDouble().ValueOrDie());
+  for (size_t i = 0; i < stream.size(); ++i) {
+    SCOPED_TRACE("epoch " + std::to_string(i));
+    EpochMetrics ma, mb;
+    ASSERT_TRUE(a->RunEpoch(stream[i], &ma).ok());
+    ASSERT_TRUE(b->RunEpoch(stream[i], &mb).ok());
+    ma.ingest_wall_s = mb.ingest_wall_s = 0;
+    ma.converge_wall_s = mb.converge_wall_s = 0;
+    EXPECT_EQ(EpochMetricsCsvRow(ma), EpochMetricsCsvRow(mb));
+    EXPECT_EQ(ma.modeled_seconds, mb.modeled_seconds);
+    EXPECT_EQ(a->GatherValuesAsDouble().ValueOrDie(),
+              b->GatherValuesAsDouble().ValueOrDie());
+  }
+  EXPECT_EQ(a->epochs_run(), stream.size());
+  EXPECT_EQ(b->epochs_run(), stream.size());
+}
+
 TEST(EpochDifferential, UnknownAlgorithmRejected) {
   EpochAlgoSpec spec;
   spec.name = "nope";
@@ -312,7 +387,7 @@ TEST(EpochDifferential, OutOfRangeEndpointRejected) {
   auto engine =
       MakeEpochEngine(Base(EngineMode::kHybrid), EpochAlgoSpec{}).ValueOrDie();
   ASSERT_TRUE(engine->Load(g).ok());
-  ASSERT_TRUE(engine->RunInitial().ok());
+  ASSERT_TRUE(engine->Run().ok());
   EdgeBatch bad;
   bad.deltas.push_back({5, 100, 1.0f, false});  // dst out of range
   EXPECT_FALSE(engine->RunEpoch(bad, nullptr).ok());
@@ -325,13 +400,13 @@ TEST(EpochDifferential, CompactionBetweenEpochsPreservesFixpoints) {
   JobConfig cfg = Base(EngineMode::kBPull);
   auto engine = MakeEpochEngine(cfg, spec).ValueOrDie();
   ASSERT_TRUE(engine->Load(g).ok());
-  ASSERT_TRUE(engine->RunInitial().ok());
+  ASSERT_TRUE(engine->Run().ok());
   EdgeListGraph mutated = g;
   for (const auto& batch : Stream(g, 3, 30, 0.3, 911)) {
     ASSERT_TRUE(engine->RunEpoch(batch, nullptr).ok());
     ASSERT_TRUE(engine->CompactAll(1).ok());
     ApplyBatchToGraph(&mutated, batch);
-    EXPECT_EQ(engine->Values().ValueOrDie(), ColdValues(cfg, spec, mutated));
+    EXPECT_EQ(engine->GatherValuesAsDouble().ValueOrDie(), ColdValues(cfg, spec, mutated));
   }
 }
 

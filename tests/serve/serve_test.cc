@@ -176,7 +176,7 @@ TEST(ServeServer, CommitsEpochsAndPublishesSnapshots) {
   EXPECT_EQ(server.metrics().size(), 3u);
 
   // The published values ARE the engine's converged values.
-  EXPECT_EQ(snap->values, f.engine->Values().ValueOrDie());
+  EXPECT_EQ(snap->values, f.engine->GatherValuesAsDouble().ValueOrDie());
   server.Stop();
 }
 
@@ -211,7 +211,7 @@ TEST(ServeServer, HandlersAnswerOverTransport) {
   GetResponse get;
   ASSERT_TRUE(DecodeGetResponse(Slice(resp), &get).ok());
   EXPECT_EQ(get.epoch, 2u);
-  EXPECT_EQ(get.value, f.engine->Values().ValueOrDie()[0]);
+  EXPECT_EQ(get.value, f.engine->GatherValuesAsDouble().ValueOrDie()[0]);
 
   // Out-of-range vertex is an error, not a crash.
   req.Clear();
