@@ -12,7 +12,6 @@ trap 'rm -rf "$TMPDIR_HH"' EXIT
 
 HEADERS="
 src/core/engine.h
-src/core/superstep_driver.h
 src/core/message_path.h
 src/core/paths/push_path.h
 src/core/paths/push_m_path.h

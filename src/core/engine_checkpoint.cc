@@ -8,6 +8,7 @@
 #include "util/codec.h"
 #include "util/failpoint.h"
 #include "util/record_slab.h"
+#include "util/string_util.h"
 
 namespace hybridgraph {
 
@@ -109,6 +110,13 @@ Status RestoreEngineCheckpoint(std::vector<NodeState>& nodes,
   HG_RETURN_IF_ERROR(dec.GetVarint64(&superstep));
   HG_RETURN_IF_ERROR(dec.GetU8(&mode));
   HG_RETURN_IF_ERROR(dec.GetU8(&prev_produce));
+  for (const uint8_t m : {mode, prev_produce}) {
+    if (m >= kNumEngineModes || ((state.installed_modes >> m) & 1) == 0) {
+      return Status::InvalidArgument(StringFormat(
+          "checkpoint mode byte %u names no path this engine installed",
+          static_cast<unsigned>(m)));
+    }
+  }
   HG_RETURN_IF_ERROR(dec.GetU8(&converged));
   HG_RETURN_IF_ERROR(dec.GetSignedVarint64(&last_switch));
   HG_RETURN_IF_ERROR(dec.GetDouble(&state.hybrid->last_rco));

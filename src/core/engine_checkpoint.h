@@ -1,6 +1,6 @@
 // Checkpoint image format v2 for the block-centric engine: vertex values,
 // flags and the undelivered inbox per node, framed by a magic/version header
-// and an FNV-1a trailer. Compiled once; the driver hands in pointers to its
+// and an FNV-1a trailer. Compiled once; the engine hands in pointers to its
 // scalar state so partial-failure mutation order matches the original
 // template code exactly.
 #pragma once
@@ -16,7 +16,7 @@
 
 namespace hybridgraph {
 
-/// Views into the driver's scalar state captured/restored by checkpoints.
+/// Views into the engine's scalar state captured/restored by checkpoints.
 /// RestoreCheckpoint writes through `last_rco` and `prev_aggregate` directly
 /// while decoding; everything else is decoded into locals and assigned only
 /// after the header parses.
@@ -27,6 +27,9 @@ struct CheckpointState {
   bool* converged = nullptr;
   HybridState* hybrid = nullptr;
   double* prev_aggregate = nullptr;  ///< ctx.prev_aggregate
+  /// Bit m set when the engine installed a path for EngineMode m; a
+  /// restored mode or prev_produce outside this set is rejected.
+  uint32_t installed_modes = 0;
 };
 
 Status WriteEngineCheckpoint(std::vector<NodeState>& nodes,
@@ -35,7 +38,7 @@ Status WriteEngineCheckpoint(std::vector<NodeState>& nodes,
 
 /// Restores a v2 image. Each node's inbox records re-enter inbox_cur through
 /// AdmitPushRecords under `policy`. On success *supersteps_run is set to the
-/// restored superstep; on failure the driver state may be partially
+/// restored superstep; on failure the engine state may be partially
 /// mutated, so the checksum must reject a torn image before any mutation
 /// (recovery_test relies on that).
 Status RestoreEngineCheckpoint(std::vector<NodeState>& nodes,

@@ -73,7 +73,7 @@ uint32_t DeriveVblocks(const JobConfig& config, bool combinable, NodeId node,
 }
 
 Status BuildBlockTopology(const EdgeListGraph& graph, const JobConfig& config,
-                          bool combinable, size_t value_size, size_t msg_size,
+                          size_t value_size, size_t msg_size,
                           bool need_adj, bool need_ve,
                           const BlockTopologyHooks& hooks,
                           RangePartition* partition,
@@ -105,8 +105,8 @@ Status BuildBlockTopology(const EdgeListGraph& graph, const JobConfig& config,
   }
   std::vector<uint32_t> vblocks(T);
   for (uint32_t i = 0; i < T; ++i) {
-    vblocks[i] = DeriveVblocks(config, combinable, i, node_in_degree[i],
-                               coarse.NodeRange(i).size());
+    vblocks[i] = DeriveVblocks(config, hooks.combiner != nullptr, i,
+                               node_in_degree[i], coarse.NodeRange(i).size());
   }
   if (config.degree_balanced_partition) {
     HG_ASSIGN_OR_RETURN(*partition,
@@ -157,8 +157,8 @@ Status BuildBlockTopology(const EdgeListGraph& graph, const JobConfig& config,
     node.responding_next.assign(n, 0);
     node.vblock_res.assign(partition->NumVblocksOf(i), 0);
     node.vblock_res_next.assign(partition->NumVblocksOf(i), 0);
-    node.pending.Init(n, msg_size, hooks.pending_combiner);
-    node.staging.Init(T, msg_size, hooks.staging_combiner);
+    node.pending.Init(n, msg_size, hooks.combiner);
+    node.staging.Init(T, msg_size, hooks.combiner);
     node.push_staged.assign(T, {});
     node.pull_serve.assign(T, {});
     node.pull_advert_staged.assign(T, {});

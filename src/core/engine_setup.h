@@ -46,20 +46,20 @@ uint32_t DeriveVblocks(const JobConfig& config, bool combinable, NodeId node,
 struct BlockTopologyHooks {
   std::function<void(VertexId, uint8_t*)> init_value;
   std::function<bool(VertexId)> init_active;
-  /// Null for non-combinable programs (pending appends instead of folding).
-  PendingSet::CombineRawFn pending_combiner = nullptr;
-  /// Installed on the sender staging; only consulted when a path opts in.
-  SendStaging::CombineRawFn staging_combiner = nullptr;
+  /// P::Combine over raw payloads; null when messages are not combinable.
+  /// Folds the pending set (appends instead when null), is installed on the
+  /// sender staging, and selects the combinable Vblock derivation.
+  SendStaging::CombineRawFn combiner = nullptr;
 };
 
 /// Builds everything the block-centric engine needs before superstep 0:
 /// partition (Eq. 5/6 Vblocks), edges bucketed by source node, per-node
 /// storage + vertex/adjacency/VE-BLOCK stores, flags, staging, double-
 /// buffered inboxes with spills, and the load metrics. RPC handlers are NOT
-/// registered here (the driver wires those to its paths); the transport is
+/// registered here (the engine wires those to its paths); the transport is
 /// started. `value_size` is P::kValueSize, `msg_size` P::kMessageSize.
 Status BuildBlockTopology(const EdgeListGraph& graph, const JobConfig& config,
-                          bool combinable, size_t value_size, size_t msg_size,
+                          size_t value_size, size_t msg_size,
                           bool need_adj, bool need_ve,
                           const BlockTopologyHooks& hooks,
                           RangePartition* partition,

@@ -4,7 +4,7 @@
 // (VE-BLOCK overlay delta runs + adjacency rewrite + degree patches) and
 // reconverges the program by delta propagation instead of a cold batch run.
 // ApplyEdgeBatch patches the stores and EpochMetrics reports what an epoch
-// cost; SuperstepDriver::StartEpoch seeds the frontier and rewinds the BSP
+// cost; Engine::StartEpoch seeds the frontier and rewinds the BSP
 // state; AnyEngine::RunEpoch (hybridgraph/any_engine.h) runs the two and
 // picks the seed from the program's traits. Every epoch's fixpoint matches a
 // cold batch run over the mutated graph — exactly for the monotone traversal

@@ -1,5 +1,7 @@
 #include "core/job_config.h"
 
+#include <vector>
+
 #include "util/failpoint.h"
 #include "util/string_util.h"
 
@@ -14,16 +16,20 @@ struct ModeEntry {
   EngineMode mode;
   const char* name;    ///< canonical (printed) name
   const char* alias;   ///< extra parseable spelling (nullptr = none)
+  /// Runs streaming epochs: a block-centric mode whose stores ApplyEdgeBatch
+  /// mutates and whose epochs the differential tests hold to a cold
+  /// recompute.
+  bool streams;
 };
 
 constexpr ModeEntry kModeTable[] = {
-    {EngineMode::kPush, "push", nullptr},
-    {EngineMode::kPushM, "pushM", "pushm"},
-    {EngineMode::kVPull, "pull", "vpull"},
-    {EngineMode::kBPull, "b-pull", "bpull"},
-    {EngineMode::kHybrid, "hybrid", nullptr},
-    {EngineMode::kAdaptive, "adaptive", nullptr},
-    {EngineMode::kGraphHp, "graphhp", "ghp"},
+    {EngineMode::kPush, "push", nullptr, true},
+    {EngineMode::kPushM, "pushM", "pushm", true},
+    {EngineMode::kVPull, "pull", "vpull", false},
+    {EngineMode::kBPull, "b-pull", "bpull", true},
+    {EngineMode::kHybrid, "hybrid", nullptr, true},
+    {EngineMode::kAdaptive, "adaptive", nullptr, false},
+    {EngineMode::kGraphHp, "graphhp", "ghp", true},
 };
 
 static_assert(sizeof(kModeTable) / sizeof(kModeTable[0]) == kNumEngineModes,
@@ -57,6 +63,25 @@ std::string EngineModeNameList() {
     out += e.name;
   }
   return out;
+}
+
+Status ValidateStreamingMode(EngineMode mode) {
+  std::vector<const char*> names;
+  for (const ModeEntry& e : kModeTable) {
+    if (e.mode == mode && e.streams) return Status::OK();
+    if (e.streams) names.push_back(e.name);
+  }
+  // "push, pushM, bpull, hybrid or graphhp": names without hyphens, as the
+  // streaming server's --mode flag accepts them.
+  std::string list;
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (i > 0) list += i + 1 == names.size() ? " or " : ", ";
+    for (const char* c = names[i]; *c != '\0'; ++c) {
+      if (*c != '-') list += *c;
+    }
+  }
+  return Status::FailedPrecondition(
+      "streaming epochs require a block-centric mode (" + list + ")");
 }
 
 Status JobConfig::Validate(const JobFacts& facts) const {

@@ -39,6 +39,10 @@ Status ParseEngineMode(const std::string& name, EngineMode* out);
 /// as the separator) for usage/error text. Aliases are excluded.
 std::string EngineModeNameList();
 
+/// OK when `mode` can run streaming epochs (the `streams` column of the
+/// mode table), else FailedPrecondition naming the modes that can.
+Status ValidateStreamingMode(EngineMode mode);
+
 /// How the simulated nodes exchange frames.
 enum class TransportKind : int {
   kInProc = 0,  ///< synchronous in-process dispatch (deterministic, default)

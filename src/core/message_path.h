@@ -1,9 +1,11 @@
 // The MessagePath strategy interface: one implementation per execution mode
 // (push, pushM, b-pull, vpull, adaptive, graphhp; hybrid switches between
-// the push and b-pull paths). The mode-agnostic SuperstepDriver owns the
-// BSP loop (Phase A barrier, Phase B barrier, aggregator exchange, promotion,
-// convergence) and calls these hooks, so the shared pipeline contains no
-// per-mode branches — a path IS the mode.
+// the push and b-pull paths). The mode-agnostic Engine<P> (core/engine.h)
+// owns the BSP loop (Phase A barrier, Phase B barrier, aggregator exchange,
+// promotion, convergence) and calls these hooks, so the shared pipeline
+// contains no per-mode branches — a path IS the mode. Paths hold an
+// Engine<P>* for its services; the class is only forward-declared here, so
+// path headers compile without the engine.
 //
 // The paper's four operators map onto the hooks as:
 //   load()    -> Consume()/AfterConsume()   (Phase A: collect messages)
@@ -24,6 +26,9 @@
 #include "util/status.h"
 
 namespace hybridgraph {
+
+template <typename P>
+class Engine;
 
 /// Raw-byte shims over the Program's typed operations, instantiated once per
 /// Program and handed to the compiled containers as plain function pointers.
@@ -46,11 +51,11 @@ struct ProgramOps {
   }
 };
 
-/// What a path needs from the shared topology and which driver services
+/// What a path needs from the shared topology and which engine services
 /// apply to it. Each path fixes its value once, at construction.
 struct PathCaps {
-  /// Build-time layouts; the driver ORs them over the active paths into one
-  /// shared block topology.
+  /// Build-time layouts; the engine ORs them over the installed paths into
+  /// one shared block topology.
   bool needs_adjacency = false;
   bool needs_veblocks = false;
   /// False for paths (vpull) that predate aggregator support.
@@ -58,18 +63,18 @@ struct PathCaps {
   /// Whether EvaluateSwitch/Q_t metrics apply when this path produced.
   bool hybrid_metrics = true;
   /// Whether this path answers Pull-Requests (implements ServePull). The
-  /// driver routes an incoming pull to the previous superstep's producer
-  /// path when it serves pulls, else to the b-pull registry slot.
+  /// engine routes an incoming pull to the previous superstep's producer
+  /// path when it serves pulls, and fails the request otherwise.
   bool serves_pulls = false;
   /// Whether this path folds push-side sends to mirrored hot vertices into
-  /// per-node accumulator slots (degree-aware vertex mirroring). The driver
-  /// only builds the MirrorTable when an active path opts in.
+  /// per-node accumulator slots (degree-aware vertex mirroring). The engine
+  /// only builds the MirrorTable when an installed path opts in.
   bool mirrors_hot_vertices = false;
 
   bool operator==(const PathCaps&) const = default;
 };
 
-/// Strategy for one execution mode. The driver invokes Consume/AfterConsume
+/// Strategy for one execution mode. The engine invokes Consume/AfterConsume
 /// on the CONSUMER path (the previous superstep's production mode) and
 /// UpdateProduce/AfterProduce/accounting/Promote on the PRODUCER path, one
 /// call per simulated node, fanned out across the thread pool.
@@ -84,7 +89,7 @@ class MessagePath {
   const PathCaps& caps() const { return caps_; }
 
   /// Load-time construction of whatever this path needs (stores, caches,
-  /// handler state). Block paths share one topology via the driver.
+  /// handler state). Block paths share one topology via the engine.
   virtual Status Build(const EdgeListGraph& graph) = 0;
 
   /// Resets per-superstep counters and meter snapshots (producer side).

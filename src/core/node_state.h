@@ -1,5 +1,5 @@
 // Per-node runtime state for the block-centric engine (push / pushM / b-pull
-// / hybrid), shared by every MessagePath that runs over the SuperstepDriver.
+// / hybrid), shared by every MessagePath that runs over Engine<P>.
 //
 // Everything here is deliberately non-template: message and value payloads
 // are kept as raw encoded bytes (PodCodec is a memcpy round trip, so raw

@@ -25,7 +25,7 @@
 //
 // Determinism contract: the per-cell counters and the decision log are
 // written only by the owning node's Phase B task and folded in node order on
-// the driver thread at EndAccounting, so push_cells/pull_cells (new CSV
+// the engine thread at EndAccounting, so push_cells/pull_cells (new CSV
 // columns) and decision_log() are bit-identical at any thread count.
 #pragma once
 
@@ -36,6 +36,7 @@
 
 #include "core/frontier.h"
 #include "core/paths/block_path_base.h"
+#include "core/trace.h"
 #include "graph/adjacency_store.h"
 #include "graph/ve_block_store.h"
 #include "net/message_codec.h"
@@ -53,8 +54,8 @@ class AdaptivePath : public BlockPathBase<P> {
   // Both layouts: push cells walk adjacency blocks, pull cells serve
   // Eblocks. Q_t prediction assumes single-direction production; per-cell
   // mixing would feed it inconsistent observations.
-  explicit AdaptivePath(SuperstepDriver<P>* driver)
-      : BlockPathBase<P>(driver, {.needs_adjacency = true,
+  explicit AdaptivePath(Engine<P>* engine)
+      : BlockPathBase<P>(engine, {.needs_adjacency = true,
                                   .needs_veblocks = true,
                                   .hybrid_metrics = false,
                                   .serves_pulls = true,
@@ -64,35 +65,35 @@ class AdaptivePath : public BlockPathBase<P> {
 
   Status Build(const EdgeListGraph& graph) override {
     HG_RETURN_IF_ERROR(BlockPathBase<P>::Build(graph));
-    scratch_.assign(this->driver_->config().num_nodes, NodeScratch{});
+    scratch_.assign(this->engine_->config().num_nodes, NodeScratch{});
     return Status::OK();
   }
 
   void BeginAccounting() override {
     BlockPathBase<P>::BeginAccounting();
     // Driver thread, before the phase fan-out: per-superstep scratch reset.
-    std::vector<NodeState>& nodes = this->driver_->nodes();
+    std::vector<NodeState>& nodes = this->engine_->nodes();
     for (size_t i = 0; i < scratch_.size(); ++i) {
       NodeScratch& sc = scratch_[i];
       sc.frontier.Reset(nodes[i].range.size(), policy_);
       sc.push_cells = 0;
       sc.pull_cells = 0;
       sc.decision_rows.clear();
-      sc.pull_target.assign(this->driver_->partition().num_vblocks(), 0);
+      sc.pull_target.assign(this->engine_->partition().num_vblocks(), 0);
     }
   }
 
   Status Consume(uint32_t i) override {
-    NodeState& node = this->driver_->nodes()[i];
+    NodeState& node = this->engine_->nodes()[i];
     node.pending.ResetCount();
-    if (this->driver_->superstep() == 0) return Status::OK();
+    if (this->engine_->superstep() == 0) return Status::OK();
     // Push cells delivered into the inbox at t-1; pull cells answer the
     // requests issued here. Fixed order (push drain, then pulls in
     // ascending node order inside CollectBPullMessages) keeps the pending
     // set and every counter thread-count invariant.
     HG_RETURN_IF_ERROR(CollectPushMessages(node, this->push_policy()));
-    const RangePartition& partition = this->driver_->partition();
-    const uint32_t num_nodes = this->driver_->config().num_nodes;
+    const RangePartition& partition = this->engine_->partition();
+    const uint32_t num_nodes = this->engine_->config().num_nodes;
     const uint32_t first_vb = partition.FirstVblockOf(node.id);
     const uint32_t num_local_vb = partition.LastVblockOf(node.id) - first_vb;
 
@@ -130,11 +131,11 @@ class AdaptivePath : public BlockPathBase<P> {
     BPullCollectPolicy policy = this->PullCollectPolicy();
     policy.request_mask = &mask;
     return CollectBPullMessages(node, partition,
-                                this->driver_->transport(), policy);
+                                this->engine_->transport(), policy);
   }
 
   Status WarmupNextSuperstep(uint32_t i) override {
-    NodeState& node = this->driver_->nodes()[i];
+    NodeState& node = this->engine_->nodes()[i];
     if (!node.pipeline || !node.pipeline->enabled()) return Status::OK();
     // Both of next superstep's consume sources benefit: the spill runs the
     // inbox merge will read, and the Eblocks of rows whose cells were
@@ -152,7 +153,7 @@ class AdaptivePath : public BlockPathBase<P> {
   Status ProduceVblock(NodeState& node, uint32_t vb,
                        const std::vector<uint8_t>& respond_in_vb,
                        const std::vector<uint8_t>& block_values) override {
-    const RangePartition& partition = this->driver_->partition();
+    const RangePartition& partition = this->engine_->partition();
     const VertexRange r = partition.VblockRange(vb);
     NodeScratch& sc = scratch_[node.id];
 
@@ -190,7 +191,7 @@ class AdaptivePath : public BlockPathBase<P> {
       }
     }
     sc.decision_rows += StringFormat("t=%d n=%u j=%u %s\n",
-                                     this->driver_->superstep(), node.id, vb,
+                                     this->engine_->superstep(), node.id, vb,
                                      row.c_str());
     if (!any_push) return Status::OK();  // all-pull row: no adjacency I/O
 
@@ -204,14 +205,14 @@ class AdaptivePath : public BlockPathBase<P> {
 
   Status FinishProduce(NodeState& node) override {
     this->DrainMirrors(node);
-    const RangePartition& partition = this->driver_->partition();
+    const RangePartition& partition = this->engine_->partition();
     const NodeScratch& sc = scratch_[node.id];
     Buffer advert;
     Encoder enc(&advert);
-    for (uint32_t y = 0; y < this->driver_->config().num_nodes; ++y) {
+    for (uint32_t y = 0; y < this->engine_->config().num_nodes; ++y) {
       HG_RETURN_IF_ERROR(FlushStagedMessages(
-          node, this->driver_->transport(), y, /*force=*/true,
-          this->driver_->config().sending_threshold_bytes));
+          node, this->engine_->transport(), y, /*force=*/true,
+          this->engine_->config().sending_threshold_bytes));
       // Pull advert: tell y which of ITS Vblocks this node decided pull
       // for, so y's next consume skips the provably-empty round trips.
       // Posted every production superstep — an empty advert (count 0) is
@@ -227,7 +228,7 @@ class AdaptivePath : public BlockPathBase<P> {
            dst < partition.LastVblockOf(y); ++dst) {
         if (sc.pull_target[dst]) enc.PutFixed32(dst);
       }
-      HG_RETURN_IF_ERROR(this->driver_->transport().Post(
+      HG_RETURN_IF_ERROR(this->engine_->transport().Post(
           node.id, y, RpcMethod::kPullAdvert, advert.AsSlice()));
     }
     return Status::OK();
@@ -255,14 +256,14 @@ class AdaptivePath : public BlockPathBase<P> {
                                                          switched);
     // Driver thread: fold the per-node cell counters and decision rows in
     // node order, so the totals and the log are thread-count invariant.
-    TraceCollector* trace = this->driver_->trace();
+    TraceCollector* trace = this->engine_->trace();
     for (size_t i = 0; i < scratch_.size(); ++i) {
       const NodeScratch& sc = scratch_[i];
       m.push_cells += sc.push_cells;
       m.pull_cells += sc.pull_cells;
       decision_log_ += sc.decision_rows;
       if (trace->enabled() && !sc.decision_rows.empty()) {
-        trace->AddInstant("adaptive.decide", this->driver_->superstep(),
+        trace->AddInstant("adaptive.decide", this->engine_->superstep(),
                           static_cast<int>(i), EngineMode::kAdaptive,
                           sc.decision_rows);
       }
@@ -307,7 +308,7 @@ class AdaptivePath : public BlockPathBase<P> {
   /// flag vector.
   RespondingStats CountResponding(const NodeState& node, uint32_t vb,
                                   const std::vector<uint8_t>& flags) const {
-    const VertexRange r = this->driver_->partition().VblockRange(vb);
+    const VertexRange r = this->engine_->partition().VblockRange(vb);
     RespondingStats stats;
     for (VertexId v = r.begin; v < r.end; ++v) {
       if (!flags[node.LocalIdx(v)]) continue;
@@ -330,7 +331,7 @@ class AdaptivePath : public BlockPathBase<P> {
   /// responding count and out-degree sum.
   CellDecision Decide(const NodeState& node, uint32_t vb, uint32_t dst_vb,
                       uint32_t active, uint64_t active_degree) const {
-    const VertexRange r = this->driver_->partition().VblockRange(vb);
+    const VertexRange r = this->engine_->partition().VblockRange(vb);
     const VeBlockStore::EblockIndex& idx = node.ve->Index(vb, dst_vb);
     CellCostInputs in;
     in.active = active;
@@ -342,8 +343,8 @@ class AdaptivePath : public BlockPathBase<P> {
     in.cell_fragments = idx.num_fragments;
     in.row_edges = node.ve->Meta(vb).out_degree;
     in.adj_row_bytes = node.adj->BlockBytes(vb);
-    in.msg_record_size = SuperstepDriver<P>::kMsgRecordSize;
-    in.value_record_size = SuperstepDriver<P>::kValueRecordSize;
+    in.msg_record_size = Engine<P>::kMsgRecordSize;
+    in.value_record_size = Engine<P>::kValueRecordSize;
     return DecideCell(in, policy_);
   }
 

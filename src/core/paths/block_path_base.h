@@ -1,5 +1,5 @@
 // Shared base for the block-centric MessagePaths (push / pushM / b-pull /
-// adaptive / graphhp): one topology build via the driver (which also fixes
+// adaptive / graphhp): one topology build via the engine (which also fixes
 // the push policy), the Phase B Vblock update sweep, the one adjacency
 // push loop (pushRes()), the one Eblock pull-serve loop (pullRes()), and the
 // accounting/promotion plumbing that is identical across the modes.
@@ -10,11 +10,11 @@
 #include <cstring>
 #include <vector>
 
+#include "core/aggregators.h"
 #include "core/message_flow.h"
 #include "core/message_path.h"
 #include "core/mirror_table.h"
 #include "core/superstep_accounting.h"
-#include "core/superstep_driver.h"
 #include "graph/adjacency_store.h"
 #include "graph/ve_block_store.h"
 #include "net/message_codec.h"
@@ -28,63 +28,63 @@ class BlockPathBase : public MessagePath<P> {
   using Value = typename P::Value;
   using Message = typename P::Message;
 
-  BlockPathBase(SuperstepDriver<P>* driver, PathCaps caps)
-      : MessagePath<P>(caps), driver_(driver) {}
+  BlockPathBase(Engine<P>* engine, PathCaps caps)
+      : MessagePath<P>(caps), engine_(engine) {}
 
   Status Build(const EdgeListGraph& graph) override {
-    return driver_->EnsureBlockTopology(graph);
+    return engine_->EnsureBlockTopology(graph);
   }
 
   void BeginAccounting() override {
-    BeginBlockAccounting(driver_->nodes(), driver_->transport());
+    BeginBlockAccounting(engine_->nodes(), engine_->transport());
   }
 
   Status AfterConsume(uint32_t i) override {
-    MergePullServeCounters(driver_->nodes()[i], driver_->config().num_nodes);
+    MergePullServeCounters(engine_->nodes()[i], engine_->config().num_nodes);
     return Status::OK();
   }
 
   Status UpdateProduce(uint32_t i) override {
-    return UpdateVblocks(driver_->nodes()[i]);
+    return UpdateVblocks(engine_->nodes()[i]);
   }
 
   Status AfterProduce(uint32_t i) override {
     // Unconditional for every block producer: under b-pull production the
     // staging is empty and this is a no-op, but the hybrid switch supersteps
     // rely on the drain always running.
-    return DrainStagedPushBatches(driver_->nodes()[i],
-                                  driver_->config().num_nodes, push_policy());
+    return DrainStagedPushBatches(engine_->nodes()[i],
+                                  engine_->config().num_nodes, push_policy());
   }
 
   SuperstepMetrics EndAccounting(EngineMode produce_mode,
                                  bool switched) override {
-    std::vector<NodeState>& nodes = driver_->nodes();
+    std::vector<NodeState>& nodes = engine_->nodes();
     std::vector<uint64_t> extra(nodes.size(), 0);
     for (size_t i = 0; i < nodes.size(); ++i) {
       extra[i] = ExtraMemoryBytes(nodes[i]);
     }
     BlockAccountingInputs in;
-    in.superstep = driver_->superstep();
+    in.superstep = engine_->superstep();
     in.produce_mode = produce_mode;
     in.switched = switched;
-    in.config = &driver_->config();
-    in.partition = &driver_->partition();
-    in.transport = &driver_->transport();
-    in.fault_snapshot = driver_->fault_snapshot();
+    in.config = &engine_->config();
+    in.partition = &engine_->partition();
+    in.transport = &engine_->transport();
+    in.fault_snapshot = engine_->fault_snapshot();
     in.extra_memory_bytes = &extra;
     return AccumulateBlockMetrics(nodes, in);
   }
 
   void Promote(uint64_t* responding_total,
                uint64_t* inflight_messages) override {
-    PromoteBlockState(driver_->nodes(), responding_total, inflight_messages);
+    PromoteBlockState(engine_->nodes(), responding_total, inflight_messages);
   }
 
   Result<std::vector<Value>> GatherValues() override {
-    const RangePartition& partition = driver_->partition();
+    const RangePartition& partition = engine_->partition();
     std::vector<Value> out(partition.num_vertices());
     std::vector<uint8_t> values;
-    for (auto& node : driver_->nodes()) {
+    for (auto& node : engine_->nodes()) {
       for (uint32_t vb = partition.FirstVblockOf(node.id);
            vb < partition.LastVblockOf(node.id); ++vb) {
         HG_RETURN_IF_ERROR(
@@ -139,9 +139,9 @@ class BlockPathBase : public MessagePath<P> {
   UpdateResult ApplyUpdate(NodeState& node, VertexId v, uint8_t* slot,
                            const std::vector<Message>& msgs,
                            bool* block_dirty) {
-    P& program = driver_->program();
-    const SuperstepContext& ctx = driver_->ctx();
-    const JobConfig& config = driver_->config();
+    P& program = engine_->program();
+    const SuperstepContext& ctx = engine_->ctx();
+    const JobConfig& config = engine_->config();
     Value value = PodCodec<Value>::Decode(slot);
     [[maybe_unused]] const Value old_value = value;
     const UpdateResult res = program.Update(v, &value, msgs, ctx);
@@ -175,8 +175,8 @@ class BlockPathBase : public MessagePath<P> {
         respond_in_vb.end()) {
       return Status::OK();
     }
-    const JobConfig& config = driver_->config();
-    const RangePartition& partition = driver_->partition();
+    const JobConfig& config = engine_->config();
+    const RangePartition& partition = engine_->partition();
     // Stage the next Vblock's adjacency before consuming this one
     // (responding blocks cluster, so the speculative read usually lands);
     // a wrong guess is just dropped from the pipeline later.
@@ -204,8 +204,8 @@ class BlockPathBase : public MessagePath<P> {
       const uint32_t out_degree = node.vstore->OutDegree(run.src);
       for (const Edge e : run.edges) {
         if (!keep(e.dst)) continue;
-        const Message m = driver_->program().GenMessage(
-            run.src, value, out_degree, e, driver_->ctx());
+        const Message m = engine_->program().GenMessage(
+            run.src, value, out_degree, e, engine_->ctx());
         ++node.msgs_produced;
         node.cpu_seconds += config.cpu.per_message_s;
         const NodeId dst_node = partition.NodeOf(e.dst);
@@ -227,7 +227,7 @@ class BlockPathBase : public MessagePath<P> {
         node.staging.Append(dst_node, e.dst, msg_bytes.data());
         node.mem_highwater = std::max<uint64_t>(
             node.mem_highwater, node.staging.records(dst_node).bytes().size());
-        HG_RETURN_IF_ERROR(FlushStagedMessages(node, driver_->transport(),
+        HG_RETURN_IF_ERROR(FlushStagedMessages(node, engine_->transport(),
                                                dst_node, /*force=*/false,
                                                config.sending_threshold_bytes));
       }
@@ -247,8 +247,8 @@ class BlockPathBase : public MessagePath<P> {
   Status ServePullCells(NodeState& node, NodeId requester, Slice payload,
                         Buffer* response, KeepCell keep_cell) {
     NodeState::PullServe& serve = node.pull_serve[requester];
-    const JobConfig& config = driver_->config();
-    const RangePartition& partition = driver_->partition();
+    const JobConfig& config = engine_->config();
+    const RangePartition& partition = engine_->partition();
     // Legacy payload = one target Vblock; the deduped request–respond form
     // batches every target into one round trip, answered by one combined
     // grouped batch (targets have disjoint destination ranges, so the group
@@ -263,9 +263,9 @@ class BlockPathBase : public MessagePath<P> {
     // pullRes() generates the messages that push's pushRes() would have sent
     // at the previous superstep, so it runs under that superstep's context
     // (same GenMessage inputs either way — programs stay mode-agnostic).
-    SuperstepContext gen_ctx = driver_->ctx();
+    SuperstepContext gen_ctx = engine_->ctx();
     gen_ctx.superstep = gen_ctx.superstep - 1;
-    gen_ctx.prev_aggregate = driver_->pull_gen_aggregate();
+    gen_ctx.prev_aggregate = engine_->pull_gen_aggregate();
 
     // Sending buffer BS, grouped per destination vertex in first-arrival
     // order: one slot per group when combining, else scan-order payloads.
@@ -342,7 +342,7 @@ class BlockPathBase : public MessagePath<P> {
           const uint32_t out_degree = node.vstore->OutDegree(run.src);
 
           for (const Edge e : run.edges) {
-            const Message m = driver_->program().GenMessage(
+            const Message m = engine_->program().GenMessage(
                 run.src, value, out_degree, e, gen_ctx);
             ++produced;
             serve.cpu_seconds += config.cpu.per_message_s;
@@ -392,10 +392,10 @@ class BlockPathBase : public MessagePath<P> {
   /// itself. Observability only — nothing modeled moves.
   template <typename KeepCell>
   void WarmupPullEblocks(NodeState& node, KeepCell keep_cell) {
-    const RangePartition& partition = driver_->partition();
+    const RangePartition& partition = engine_->partition();
     const uint32_t first_vb = partition.FirstVblockOf(node.id);
     const uint32_t last_vb = partition.LastVblockOf(node.id);
-    const uint32_t depth = driver_->config().io.prefetch_depth;
+    const uint32_t depth = engine_->config().io.prefetch_depth;
     uint32_t scheduled = 0;
     for (uint32_t target_vb = 0;
          target_vb < partition.num_vblocks() && scheduled < depth;
@@ -416,7 +416,7 @@ class BlockPathBase : public MessagePath<P> {
   /// Slot combines reuse the program combiner, so the drained value equals
   /// the receive-side fold of the individual messages in scan order.
   bool MirrorFold(NodeState& node, VertexId dst, const uint8_t* msg_bytes) {
-    const MirrorTable* mirrors = driver_->mirror_table();
+    const MirrorTable* mirrors = engine_->mirror_table();
     if (mirrors == nullptr) return false;
     const int64_t slot = mirrors->SlotOf(dst);
     if (slot < 0) return false;
@@ -425,7 +425,7 @@ class BlockPathBase : public MessagePath<P> {
     if (node.mirror_has[static_cast<size_t>(slot)]) {
       ProgramOps<P>::CombineRaw(acc, msg_bytes);
       ++node.msgs_combined;
-      node.cpu_seconds += driver_->config().cpu.per_combine_s;
+      node.cpu_seconds += engine_->config().cpu.per_combine_s;
     } else {
       std::memcpy(acc, msg_bytes, P::kMessageSize);
       node.mirror_has[static_cast<size_t>(slot)] = 1;
@@ -437,9 +437,9 @@ class BlockPathBase : public MessagePath<P> {
   /// vertex id) for their owner nodes, so every hot vertex ships at most one
   /// record per sender.
   void DrainMirrors(NodeState& node) {
-    const MirrorTable* mirrors = driver_->mirror_table();
+    const MirrorTable* mirrors = engine_->mirror_table();
     if (mirrors == nullptr) return;
-    const RangePartition& partition = driver_->partition();
+    const RangePartition& partition = engine_->partition();
     for (size_t slot = 0; slot < mirrors->size(); ++slot) {
       if (!node.mirror_has[slot]) continue;
       const VertexId vid = mirrors->VidOf(slot);
@@ -462,7 +462,7 @@ class BlockPathBase : public MessagePath<P> {
   /// The b-pull collect policy (one Pull-Request per local Vblock, or one
   /// batched request per node pair under dedup).
   BPullCollectPolicy PullCollectPolicy() const {
-    const JobConfig& config = driver_->config();
+    const JobConfig& config = engine_->config();
     BPullCollectPolicy policy;
     policy.msg_size = P::kMessageSize;
     policy.prepull_double = config.pre_pull && P::kCombinable;
@@ -471,9 +471,9 @@ class BlockPathBase : public MessagePath<P> {
     return policy;
   }
 
-  const PushPolicy& push_policy() const { return driver_->push_policy(); }
+  const PushPolicy& push_policy() const { return engine_->push_policy(); }
 
-  SuperstepDriver<P>* driver_;
+  Engine<P>* engine_;
 
  private:
   /// The shared Phase B vertex-update sweep over one node's Vblocks
@@ -484,8 +484,8 @@ class BlockPathBase : public MessagePath<P> {
     std::fill(node.responding_next.begin(), node.responding_next.end(), 0);
     std::fill(node.vblock_res_next.begin(), node.vblock_res_next.end(), 0);
 
-    const RangePartition& partition = driver_->partition();
-    const int superstep = driver_->superstep();
+    const RangePartition& partition = engine_->partition();
+    const int superstep = engine_->superstep();
     const uint32_t first_vb = partition.FirstVblockOf(node.id);
     const uint32_t last_vb = partition.LastVblockOf(node.id);
     const std::vector<Message> no_msgs;

@@ -15,23 +15,23 @@ namespace hybridgraph {
 template <typename P>
 class BPullPath : public BlockPathBase<P> {
  public:
-  explicit BPullPath(SuperstepDriver<P>* driver)
-      : BlockPathBase<P>(driver,
+  explicit BPullPath(Engine<P>* engine)
+      : BlockPathBase<P>(engine,
                          {.needs_veblocks = true, .serves_pulls = true}) {}
 
   EngineMode mode() const override { return EngineMode::kBPull; }
 
   Status Consume(uint32_t i) override {
-    NodeState& node = this->driver_->nodes()[i];
+    NodeState& node = this->engine_->nodes()[i];
     node.pending.ResetCount();
-    if (this->driver_->superstep() == 0) return Status::OK();
-    return CollectBPullMessages(node, this->driver_->partition(),
-                                this->driver_->transport(),
+    if (this->engine_->superstep() == 0) return Status::OK();
+    return CollectBPullMessages(node, this->engine_->partition(),
+                                this->engine_->transport(),
                                 this->PullCollectPolicy());
   }
 
   Status WarmupNextSuperstep(uint32_t i) override {
-    NodeState& node = this->driver_->nodes()[i];
+    NodeState& node = this->engine_->nodes()[i];
     if (!node.pipeline || !node.pipeline->enabled()) return Status::OK();
     this->WarmupPullEblocks(node, [](uint32_t, uint32_t) { return true; });
     return Status::OK();

@@ -42,8 +42,8 @@ class GhpPath : public PushPath<P> {
 
   /// The boundary/inner split and the inner-adjacency sidecar live in the
   /// VE-BLOCK store.
-  explicit GhpPath(SuperstepDriver<P>* driver)
-      : PushPath<P>(driver, {.needs_adjacency = true,
+  explicit GhpPath(Engine<P>* engine)
+      : PushPath<P>(engine, {.needs_adjacency = true,
                              .needs_veblocks = true,
                              .mirrors_hot_vertices = true}) {}
 
@@ -60,7 +60,7 @@ class GhpPath : public PushPath<P> {
     // Intra-Vblock edges are skipped — the sub-iterations already delivered
     // (or carried) their messages. The whole adjacency block is still read
     // and scanned; only the cross-Vblock share generates messages.
-    const RangePartition& partition = this->driver_->partition();
+    const RangePartition& partition = this->engine_->partition();
     return this->PushVblock(
         node, vb, respond_in_vb, block_values,
         [&](VertexId dst) { return partition.VblockOf(dst) != vb; });
@@ -93,10 +93,10 @@ class GhpPath : public PushPath<P> {
     if constexpr (!LocallyIterable<P>) {
       return Status::OK();
     }
-    constexpr size_t kMsgRecordSize = SuperstepDriver<P>::kMsgRecordSize;
-    const JobConfig& config = this->driver_->config();
-    const int superstep = this->driver_->superstep();
-    const RangePartition& partition = this->driver_->partition();
+    constexpr size_t kMsgRecordSize = Engine<P>::kMsgRecordSize;
+    const JobConfig& config = this->engine_->config();
+    const int superstep = this->engine_->superstep();
+    const RangePartition& partition = this->engine_->partition();
     const VertexRange r = partition.VblockRange(vb);
     const uint32_t first_vb = partition.FirstVblockOf(node.id);
 
@@ -139,8 +139,8 @@ class GhpPath : public PushPath<P> {
               config.cpu.per_edge_s * static_cast<double>(edges.size());
           node.edges_scanned += edges.size();
           for (const Edge e : edges) {
-            const Message m = this->driver_->program().GenMessage(
-                v, value, out_degree, e, this->driver_->ctx());
+            const Message m = this->engine_->program().GenMessage(
+                v, value, out_degree, e, this->engine_->ctx());
             node.cpu_seconds += config.cpu.per_message_s;
             ++produced;
             if (node.ve->IsBoundary(e.dst)) {
@@ -167,7 +167,7 @@ class GhpPath : public PushPath<P> {
         }
         if (local.empty()) break;  // every message crossed to the carry
         HG_FAIL_POINT("ghp.local");
-        TraceSpan span(this->driver_->trace(), "local.iter", superstep,
+        TraceSpan span(this->engine_->trace(), "local.iter", superstep,
                        static_cast<int>(node.id), EngineMode::kGraphHp);
         ++depth;
         ++node.local_iters;

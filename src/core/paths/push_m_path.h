@@ -16,7 +16,7 @@ namespace hybridgraph {
 template <typename P>
 class PushMPath : public PushPath<P> {
  public:
-  explicit PushMPath(SuperstepDriver<P>* driver) : PushPath<P>(driver) {}
+  explicit PushMPath(Engine<P>* engine) : PushPath<P>(engine) {}
 
   EngineMode mode() const override { return EngineMode::kPushM; }
 
@@ -25,7 +25,7 @@ class PushMPath : public PushPath<P> {
     // pushM vertex cache: the B_i highest in-degree local vertices stay
     // memory-resident (MOCgraph's hot-aware placement).
     const auto in_degrees = graph.InDegrees();
-    for (NodeState& node : this->driver_->nodes()) {
+    for (NodeState& node : this->engine_->nodes()) {
       const uint32_t n = node.range.size();
       node.moc_cached.assign(n, 0);
       if constexpr (P::kCombinable) {
@@ -33,7 +33,7 @@ class PushMPath : public PushPath<P> {
         node.moc_slots = n;
       }
       node.moc_has.assign(n, 0);
-      const uint64_t cap = this->driver_->config().msg_buffer_per_node;
+      const uint64_t cap = this->engine_->config().msg_buffer_per_node;
       if (cap >= n) {
         std::fill(node.moc_cached.begin(), node.moc_cached.end(), 1);
       } else {

@@ -18,22 +18,22 @@ class PushPath : public BlockPathBase<P> {
   /// Push production walks adjacency blocks and folds sends to hot vertices
   /// into mirror slots. GraphHP passes its own caps (it also needs the
   /// VE-BLOCK boundary/inner split).
-  explicit PushPath(SuperstepDriver<P>* driver,
+  explicit PushPath(Engine<P>* engine,
                     PathCaps caps = {.needs_adjacency = true,
                                      .mirrors_hot_vertices = true})
-      : BlockPathBase<P>(driver, caps) {}
+      : BlockPathBase<P>(engine, caps) {}
 
   EngineMode mode() const override { return EngineMode::kPush; }
 
   Status Consume(uint32_t i) override {
-    NodeState& node = this->driver_->nodes()[i];
+    NodeState& node = this->engine_->nodes()[i];
     node.pending.ResetCount();
-    if (this->driver_->superstep() == 0) return Status::OK();
+    if (this->engine_->superstep() == 0) return Status::OK();
     return CollectPushMessages(node, this->push_policy());
   }
 
   Status WarmupNextSuperstep(uint32_t i) override {
-    NodeState& node = this->driver_->nodes()[i];
+    NodeState& node = this->engine_->nodes()[i];
     if (!node.pipeline || !node.pipeline->enabled()) return Status::OK();
     // Next superstep's consume merges inbox_next's spill runs (it becomes
     // inbox_cur at the promotion barrier): stage each run's first chunk now
@@ -53,10 +53,10 @@ class PushPath : public BlockPathBase<P> {
 
   Status FinishProduce(NodeState& node) override {
     this->DrainMirrors(node);
-    for (uint32_t y = 0; y < this->driver_->config().num_nodes; ++y) {
+    for (uint32_t y = 0; y < this->engine_->config().num_nodes; ++y) {
       HG_RETURN_IF_ERROR(FlushStagedMessages(
-          node, this->driver_->transport(), y, /*force=*/true,
-          this->driver_->config().sending_threshold_bytes));
+          node, this->engine_->transport(), y, /*force=*/true,
+          this->engine_->config().sending_threshold_bytes));
     }
     return Status::OK();
   }

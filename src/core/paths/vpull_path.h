@@ -5,7 +5,7 @@
 //
 // Partitioning: edges are hash-partitioned across nodes (vertex-cut); every
 // vertex has a hash-assigned master, and a replica on each node that holds
-// any of its edges. Per superstep (mapped onto the driver's phases):
+// any of its edges. Per superstep (mapped onto the engine's phases):
 //   Gather  (Consume)      — each node sequentially scans its local edge
 //             blob; for every edge (u,v) with a responding u it reads u's
 //             replica value (LRU cache over the on-disk vertex table: the
@@ -29,9 +29,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/engine_setup.h"
 #include "core/lru_cache.h"
 #include "core/message_path.h"
-#include "core/superstep_driver.h"
 #include "io/prefetch.h"
 #include "io/storage.h"
 #include "net/message_codec.h"
@@ -49,17 +49,17 @@ class VPullPath : public MessagePath<P> {
 
   /// Owns its storage and vertex-cut layout (no block topology); predates
   /// aggregator support and never switches modes.
-  explicit VPullPath(SuperstepDriver<P>* driver)
+  explicit VPullPath(Engine<P>* engine)
       : MessagePath<P>({.supports_aggregator = false, .hybrid_metrics = false}),
-        driver_(driver) {}
+        engine_(engine) {}
 
   EngineMode mode() const override { return EngineMode::kVPull; }
 
   Status Build(const EdgeListGraph& graph) override {
-    const JobConfig& config = driver_->config();
+    const JobConfig& config = engine_->config();
     const uint32_t T = config.num_nodes;
     out_degrees_ = graph.OutDegrees();
-    driver_->set_transport(MakeTransport(config));
+    engine_->set_transport(MakeTransport(config));
     nodes_.resize(T);
 
     // Assign edges (vertex-cut) and discover replica sets.
@@ -74,7 +74,7 @@ class VPullPath : public MessagePath<P> {
       HG_ASSIGN_OR_RETURN(
           node.storage,
           MakeNodeStorage(config, "gas" + std::to_string(i)));
-      node.pipeline = driver_->MakeReadPipeline(node.storage.get(), i);
+      node.pipeline = engine_->MakeReadPipeline(node.storage.get(), i);
 
       auto intern = [&](VertexId v) -> uint32_t {
         auto it = node.replica_idx.find(v);
@@ -140,7 +140,7 @@ class VPullPath : public MessagePath<P> {
       Encoder enc(&buf);
       std::vector<uint8_t> tmp(kValueRecord);
       for (VertexId v : node.replica_vertex) {
-        const Value val = driver_->program().InitValue(v, driver_->ctx());
+        const Value val = engine_->program().InitValue(v, engine_->ctx());
         PodCodec<Value>::Encode(val, tmp.data());
         enc.PutRaw(tmp.data(), tmp.size());
       }
@@ -150,7 +150,7 @@ class VPullPath : public MessagePath<P> {
       node.apply_staged.resize(T);
       node.replica_responding.assign(node.replica_vertex.size(), 0);
       for (VertexId v : node.replica_vertex) {
-        if (driver_->program().InitActive(v)) {
+        if (engine_->program().InitActive(v)) {
           node.replica_responding[node.replica_idx[v]] = 1;
         }
       }
@@ -171,14 +171,14 @@ class VPullPath : public MessagePath<P> {
             HG_CHECK(s.ok()) << s.ToString();
           });
 
-      driver_->transport().RegisterHandler(
+      engine_->transport().RegisterHandler(
           i, RpcMethod::kGatherPartial,
           [node_ptr](NodeId src, Slice payload, Buffer*) {
             node_ptr->gather_staged[src].emplace_back(
                 payload.data(), payload.data() + payload.size());
             return Status::OK();
           });
-      driver_->transport().RegisterHandler(
+      engine_->transport().RegisterHandler(
           i, RpcMethod::kApplyBroadcast,
           [node_ptr](NodeId src, Slice payload, Buffer*) {
             node_ptr->apply_staged[src].emplace_back(
@@ -187,13 +187,13 @@ class VPullPath : public MessagePath<P> {
           });
     }
 
-    HG_RETURN_IF_ERROR(driver_->transport().Start());
+    HG_RETURN_IF_ERROR(engine_->transport().Start());
 
     uint64_t bytes_written = 0;
     for (auto& node : nodes_) {
       bytes_written += node.storage->meter()->WriteBytes();
     }
-    LoadMetrics& load = driver_->mutable_stats()->load;
+    LoadMetrics& load = engine_->mutable_stats()->load;
     load.bytes_written = bytes_written;
     load.load_seconds = ModeledLoadSeconds(config, bytes_written);
     return Status::OK();
@@ -202,7 +202,7 @@ class VPullPath : public MessagePath<P> {
   void BeginAccounting() override {
     for (auto& node : nodes_) {
       if (node.pipeline) {
-        node.pipeline->SetContext(driver_->superstep(),
+        node.pipeline->SetContext(engine_->superstep(),
                                   static_cast<int>(EngineMode::kVPull));
       }
       node.updated = 0;
@@ -211,12 +211,12 @@ class VPullPath : public MessagePath<P> {
       node.cpu_seconds = 0;
       node.mem_highwater = 0;
       node.disk_snapshot = *node.storage->meter();
-      node.net_snapshot = *driver_->transport().meter(node.id);
+      node.net_snapshot = *engine_->transport().meter(node.id);
     }
   }
 
   Status Consume(uint32_t i) override {
-    if (driver_->superstep() == 0) return Status::OK();
+    if (engine_->superstep() == 0) return Status::OK();
     return GatherNode(nodes_[i]);
   }
 
@@ -247,9 +247,9 @@ class VPullPath : public MessagePath<P> {
                                  bool switched) override {
     (void)produce_mode;
     (void)switched;
-    const JobConfig& config = driver_->config();
+    const JobConfig& config = engine_->config();
     SuperstepMetrics m;
-    m.superstep = driver_->superstep();
+    m.superstep = engine_->superstep();
     m.mode = EngineMode::kVPull;
     double max_node_seconds = 0, max_blocking = 0;
     for (auto& node : nodes_) {
@@ -265,7 +265,7 @@ class VPullPath : public MessagePath<P> {
       m.io.other_bytes += disk.bytes(IoClass::kRandWrite) +
                           disk.bytes(IoClass::kSeqWrite);
       const NetMeter net =
-          driver_->transport().meter(node.id)->DeltaSince(node.net_snapshot);
+          engine_->transport().meter(node.id)->DeltaSince(node.net_snapshot);
       m.net_bytes += net.bytes_sent;
       m.net_frames += net.frames_sent;
 
@@ -307,7 +307,7 @@ class VPullPath : public MessagePath<P> {
   }
 
   Result<std::vector<Value>> GatherValues() override {
-    std::vector<Value> out(driver_->ctx().num_vertices);
+    std::vector<Value> out(engine_->ctx().num_vertices);
     for (auto& node : nodes_) {
       for (VertexId v : node.owned) {
         Value value{};
@@ -378,12 +378,12 @@ class VPullPath : public MessagePath<P> {
 
   NodeId MasterOf(VertexId v) const {
     return static_cast<NodeId>((v * 2654435761u) %
-                               driver_->config().num_nodes);
+                               engine_->config().num_nodes);
   }
   NodeId EdgeHome(const RawEdge& e) const {
     const uint64_t h = (static_cast<uint64_t>(e.src) << 32) | e.dst;
     return static_cast<NodeId>((h * 0x9E3779B97F4A7C15ULL >> 33) %
-                               driver_->config().num_nodes);
+                               engine_->config().num_nodes);
   }
 
   /// Reads a replica value through the node's LRU cache.
@@ -454,7 +454,7 @@ class VPullPath : public MessagePath<P> {
 
   /// Gather phase for one node (runs as a pool task).
   Status GatherNode(GasNode& node) {
-    const JobConfig& config = driver_->config();
+    const JobConfig& config = engine_->config();
     // Gather: scan local edges, read source replicas, build partials.
     // Per destination master node: grouped partial aggregates.
     std::vector<std::unordered_map<VertexId, std::vector<Message>>> partials(
@@ -475,9 +475,9 @@ class VPullPath : public MessagePath<P> {
       const uint32_t src_idx = node.replica_idx[e.src];
       if (!node.replica_responding[src_idx]) continue;
       HG_RETURN_IF_ERROR(CachedRead(node, src_idx, &src_value));
-      const Message msg = driver_->program().GenMessage(
+      const Message msg = engine_->program().GenMessage(
           e.src, src_value, out_degrees_[e.src], {e.dst, e.weight},
-          driver_->ctx());
+          engine_->ctx());
       ++node.msgs_produced;
       node.cpu_seconds += config.cpu.per_edge_s + config.cpu.per_message_s;
       auto& slot = partials[MasterOf(e.dst)][e.dst];
@@ -502,7 +502,7 @@ class VPullPath : public MessagePath<P> {
       groups.EncodeTo(&payload);
       node.mem_highwater =
           std::max<uint64_t>(node.mem_highwater, payload.size());
-      HG_RETURN_IF_ERROR(driver_->transport().Post(
+      HG_RETURN_IF_ERROR(engine_->transport().Post(
           node.id, y, RpcMethod::kGatherPartial, payload.AsSlice()));
     }
     return Status::OK();
@@ -510,8 +510,8 @@ class VPullPath : public MessagePath<P> {
 
   /// Apply + Scatter phase for one node (runs as a pool task).
   Status ApplyScatterNode(GasNode& node) {
-    const JobConfig& config = driver_->config();
-    const int superstep = driver_->superstep();
+    const JobConfig& config = engine_->config();
+    const int superstep = engine_->superstep();
     // Apply + Scatter at this master. Broadcast staging per replica node.
     std::vector<Message> no_msgs;
     std::vector<Buffer> bodies(config.num_nodes);
@@ -523,9 +523,9 @@ class VPullPath : public MessagePath<P> {
       const bool has_msgs = pit != node.pending.end();
       const bool run_update =
           P::kAlwaysActive
-              ? (superstep > 0 || driver_->program().InitActive(v))
+              ? (superstep > 0 || engine_->program().InitActive(v))
               : (has_msgs ||
-                 (superstep == 0 && driver_->program().InitActive(v)));
+                 (superstep == 0 && engine_->program().InitActive(v)));
       const uint32_t idx = node.replica_idx[v];
       if (!run_update) {
         // BSP semantics: a vertex that does not update this superstep does
@@ -551,7 +551,7 @@ class VPullPath : public MessagePath<P> {
       HG_RETURN_IF_ERROR(CachedRead(node, idx, &value));
       const auto& msgs = has_msgs ? pit->second : no_msgs;
       const UpdateResult res =
-          driver_->program().Update(v, &value, msgs, driver_->ctx());
+          engine_->program().Update(v, &value, msgs, engine_->ctx());
       ++node.updated;
       node.cpu_seconds += config.cpu.per_vertex_update_s +
                           config.cpu.per_message_s * msgs.size();
@@ -585,7 +585,7 @@ class VPullPath : public MessagePath<P> {
       Encoder enc(&framed);
       enc.PutVarint64(counts[y]);
       enc.PutRaw(bodies[y].data(), bodies[y].size());
-      HG_RETURN_IF_ERROR(driver_->transport().Post(
+      HG_RETURN_IF_ERROR(engine_->transport().Post(
           node.id, y, RpcMethod::kApplyBroadcast, framed.AsSlice()));
     }
     return Status::OK();
@@ -593,7 +593,7 @@ class VPullPath : public MessagePath<P> {
 
   /// Applies staged handler payloads in sender order (post-barrier).
   Status DrainGatherStaged(GasNode& node) {
-    for (uint32_t src = 0; src < driver_->config().num_nodes; ++src) {
+    for (uint32_t src = 0; src < engine_->config().num_nodes; ++src) {
       for (const auto& payload : node.gather_staged[src]) {
         HG_RETURN_IF_ERROR(
             HandleGatherPartial(node, Slice(payload.data(), payload.size())));
@@ -604,7 +604,7 @@ class VPullPath : public MessagePath<P> {
   }
 
   Status DrainApplyStaged(GasNode& node) {
-    for (uint32_t src = 0; src < driver_->config().num_nodes; ++src) {
+    for (uint32_t src = 0; src < engine_->config().num_nodes; ++src) {
       for (const auto& payload : node.apply_staged[src]) {
         HG_RETURN_IF_ERROR(
             HandleApplyBroadcast(node, Slice(payload.data(), payload.size())));
@@ -614,7 +614,7 @@ class VPullPath : public MessagePath<P> {
     return Status::OK();
   }
 
-  SuperstepDriver<P>* driver_;
+  Engine<P>* engine_;
   std::vector<GasNode> nodes_;
   std::vector<uint32_t> out_degrees_;
 };

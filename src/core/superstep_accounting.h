@@ -34,7 +34,7 @@ struct BlockAccountingInputs {
 
 /// Folds node counters into one SuperstepMetrics (EndSuperstepAccounting up
 /// to — but excluding — the hybrid EvaluateSwitch and the stats push, which
-/// stay with the driver).
+/// stay with the engine).
 SuperstepMetrics AccumulateBlockMetrics(std::vector<NodeState>& nodes,
                                         const BlockAccountingInputs& in);
 

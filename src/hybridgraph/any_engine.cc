@@ -20,23 +20,6 @@ namespace hybridgraph {
 
 namespace {
 
-/// The streaming mode rule: the modes whose stores ApplyEdgeBatch mutates
-/// and whose epochs the differential tests hold to a cold recompute.
-Status CheckStreamingMode(EngineMode mode) {
-  switch (mode) {
-    case EngineMode::kPush:
-    case EngineMode::kPushM:
-    case EngineMode::kBPull:
-    case EngineMode::kHybrid:
-    case EngineMode::kGraphHp:
-      return Status::OK();
-    default:
-      return Status::FailedPrecondition(
-          "streaming epochs require a block-centric mode "
-          "(push, pushM, bpull, hybrid or graphhp)");
-  }
-}
-
 VertexId MaxOutDegreeVertex(const EdgeListGraph& graph) {
   const auto degrees = graph.OutDegrees();
   return static_cast<VertexId>(
@@ -114,31 +97,31 @@ class TypedEngine final : public AnyEngine {
           "streaming epochs need a locally iterable (monotone) program or "
           "an Always-Active one with an aggregator halt");
     }
-    return CheckStreamingMode(config_.mode);
+    return ValidateStreamingMode(config_.mode);
   }
 
   Status RunEpoch(const EdgeBatch& batch, EpochMetrics* m) override {
     HG_RETURN_IF_ERROR(CheckStreamable());
     if (!engine_) return Status::FailedPrecondition("Load() first");
-    auto& drv = engine_->driver();
+    Engine<P>& engine = *engine_;
     // Snapshot the modeled meters so the epoch reports deltas.
-    auto storage_bytes = [&drv](bool writes) {
+    auto storage_bytes = [&engine](bool writes) {
       uint64_t total = 0;
-      for (auto& node : drv.nodes()) {
+      for (auto& node : engine.nodes()) {
         const DiskMeter* meter = node.storage->meter();
         total += writes ? meter->WriteBytes() : meter->ReadBytes();
       }
       return total;
     };
     const uint64_t read0 = storage_bytes(false), write0 = storage_bytes(true);
-    const uint64_t net0 = drv.transport().TotalBytesSent();
-    const double modeled0 = drv.stats().modeled_seconds;
-    const size_t supersteps0 = drv.stats().supersteps.size();
+    const uint64_t net0 = engine.transport().TotalBytesSent();
+    const double modeled0 = engine.stats().modeled_seconds;
+    const size_t supersteps0 = engine.stats().supersteps.size();
 
     const auto t0 = std::chrono::steady_clock::now();
     std::vector<VertexId> touched;
     HG_RETURN_IF_ERROR(
-        ApplyEdgeBatch(drv.partition(), batch, drv.nodes(), &touched));
+        ApplyEdgeBatch(engine.partition(), batch, engine.nodes(), &touched));
     const auto t1 = std::chrono::steady_clock::now();
 
     // Insert-only batches of a monotone program: every possible improvement
@@ -147,8 +130,8 @@ class TypedEngine final : public AnyEngine {
     const EpochSeed seed = P::kAlwaysActive ? EpochSeed::kAll
                            : batch.HasDeletes() ? EpochSeed::kReinit
                                                 : EpochSeed::kTouched;
-    HG_RETURN_IF_ERROR(drv.StartEpoch(seed, touched));
-    HG_RETURN_IF_ERROR(engine_->Run());
+    HG_RETURN_IF_ERROR(engine.StartEpoch(seed, touched));
+    HG_RETURN_IF_ERROR(engine.Run());
     const auto t2 = std::chrono::steady_clock::now();
 
     if (m != nullptr) {
@@ -160,14 +143,14 @@ class TypedEngine final : public AnyEngine {
       m->deletes = batch.NumDeletes();
       m->touched_vertices = touched.size();
       m->warm = seed != EpochSeed::kReinit;
-      m->supersteps = drv.stats().supersteps.size() - supersteps0;
+      m->supersteps = engine.stats().supersteps.size() - supersteps0;
       m->ingest_wall_s = std::chrono::duration<double>(t1 - t0).count();
       m->converge_wall_s = std::chrono::duration<double>(t2 - t1).count();
-      m->modeled_seconds = drv.stats().modeled_seconds - modeled0;
+      m->modeled_seconds = engine.stats().modeled_seconds - modeled0;
       m->read_bytes = storage_bytes(false) - read0;
       m->write_bytes = storage_bytes(true) - write0;
-      m->net_bytes = drv.transport().TotalBytesSent() - net0;
-      for (auto& node : drv.nodes()) {
+      m->net_bytes = engine.transport().TotalBytesSent() - net0;
+      for (auto& node : engine.nodes()) {
         if (node.ve != nullptr) {
           m->delta_runs += node.ve->DeltaRunCount();
           m->delta_bytes += node.ve->DeltaBytes();
@@ -180,7 +163,7 @@ class TypedEngine final : public AnyEngine {
 
   Status CompactAll(uint64_t min_runs) override {
     if (!engine_) return Status::FailedPrecondition("Load() first");
-    for (auto& node : engine_->driver().nodes()) {
+    for (auto& node : engine_->nodes()) {
       if (node.ve != nullptr) {
         HG_RETURN_IF_ERROR(node.ve->CompactAll(min_runs));
       }

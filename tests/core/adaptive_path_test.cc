@@ -19,7 +19,6 @@
 #include "core/metrics_csv.h"
 #include "core/paths/bpull_path.h"
 #include "core/paths/push_path.h"
-#include "core/superstep_driver.h"
 #include "graph/generator.h"
 #include "util/string_util.h"
 #include "tests/core/reference_impls.h"
@@ -43,18 +42,18 @@ std::vector<Shape> TestShapes() {
   return shapes;
 }
 
-/// An Engine plus a handle on its driver.
+/// An Engine plus a raw handle on it.
 template <typename P>
 struct Rig {
   std::unique_ptr<Engine<P>> engine;
-  SuperstepDriver<P>* driver = nullptr;
+  Engine<P>* driver = nullptr;
 };
 
 template <typename P>
 Rig<P> MakeRig(const JobConfig& cfg, P program) {
   Rig<P> rig;
   rig.engine = std::make_unique<Engine<P>>(cfg, program);
-  rig.driver = &rig.engine->driver();
+  rig.driver = rig.engine.get();
   return rig;
 }
 

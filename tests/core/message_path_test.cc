@@ -32,7 +32,6 @@
 #include "core/paths/push_m_path.h"
 #include "core/paths/push_path.h"
 #include "core/paths/vpull_path.h"
-#include "core/superstep_driver.h"
 #include "graph/generator.h"
 #include "net/message_codec.h"
 #include "util/record_slab.h"
@@ -46,12 +45,12 @@ EdgeListGraph TestGraph(uint64_t seed = 11) {
   return GeneratePowerLaw(800, 7.0, 0.8, seed);
 }
 
-/// An Engine plus a handle on its driver, so tests can drive every mode's
+/// An Engine plus a raw handle on it, so tests can drive every mode's
 /// paths through one shared fixture.
 template <typename P>
 struct DriverRig {
   std::unique_ptr<Engine<P>> engine;
-  SuperstepDriver<P>* driver = nullptr;
+  Engine<P>* driver = nullptr;
 
   Result<std::vector<typename P::Value>> Gather() {
     return engine->GatherValues();
@@ -62,7 +61,7 @@ template <typename P>
 DriverRig<P> MakeRig(const JobConfig& cfg, P program) {
   DriverRig<P> rig;
   rig.engine = std::make_unique<Engine<P>>(cfg, program);
-  rig.driver = &rig.engine->driver();
+  rig.driver = rig.engine.get();
   return rig;
 }
 
@@ -166,7 +165,7 @@ INSTANTIATE_TEST_SUITE_P(Threads, MessagePathConformance,
 
 TEST(MessagePathCapabilities, PathsDeclareTheirNeeds) {
   JobConfig cfg = BaseConfig(EngineMode::kHybrid, 1);
-  SuperstepDriver<PageRankProgram> driver(cfg, PageRankProgram{});
+  Engine<PageRankProgram> driver(cfg, PageRankProgram{});
   PushPath<PageRankProgram> push(&driver);
   PushMPath<PageRankProgram> pushm(&driver);
   BPullPath<PageRankProgram> bpull(&driver);
@@ -214,10 +213,10 @@ TEST(MessagePathCapabilities, PathsDeclareTheirNeeds) {
 }
 
 TEST(MessagePathCapabilities, ServePullOnlyOnPullPaths) {
-  // The driver routes kPullRequest to the b-pull slot; a path that does not
-  // serve pulls must say so rather than silently answer.
+  // The engine routes kPullRequest only to a pull-serving producer; a path
+  // that does not serve pulls must say so rather than silently answer.
   JobConfig cfg = BaseConfig(EngineMode::kPush, 1);
-  SuperstepDriver<PageRankProgram> driver(cfg, PageRankProgram{});
+  Engine<PageRankProgram> driver(cfg, PageRankProgram{});
   PushPath<PageRankProgram> push(&driver);
   NodeState node;
   Buffer response;
@@ -248,8 +247,7 @@ TEST(PullWireValidation, OutOfRangeAndTruncatedPayloadsRejected) {
        {Fixed32s({num_vb}), Fixed32s({2, 0, 0xFFFFFFFFu}),
         Fixed32s({3, 0}), Fixed32s({})}) {
     std::vector<uint8_t> response;
-    EXPECT_FALSE(bpull.driver()
-                     .transport()
+    EXPECT_FALSE(bpull.transport()
                      .Call(1, 0, RpcMethod::kPullRequest, payload.AsSlice(),
                            &response)
                      .ok())
@@ -257,8 +255,7 @@ TEST(PullWireValidation, OutOfRangeAndTruncatedPayloadsRejected) {
   }
   // A well-formed request still succeeds on the same engine.
   std::vector<uint8_t> response;
-  EXPECT_TRUE(bpull.driver()
-                  .transport()
+  EXPECT_TRUE(bpull.transport()
                   .Call(1, 0, RpcMethod::kPullRequest,
                         Fixed32s({num_vb - 1}).AsSlice(), &response)
                   .ok());
@@ -275,11 +272,35 @@ TEST(PullWireValidation, OutOfRangeAndTruncatedPayloadsRejected) {
                                  program);
     ASSERT_TRUE(adaptive.Load(g).ok());
     ASSERT_TRUE(adaptive.RunSuperstep().ok());
-    ASSERT_TRUE(adaptive.driver()
-                    .transport()
+    ASSERT_TRUE(adaptive.transport()
                     .Post(1, 0, RpcMethod::kPullAdvert, advert.AsSlice())
                     .ok());
     EXPECT_FALSE(adaptive.RunSuperstep().ok()) << advert.size() << " bytes";
+  }
+}
+
+TEST(PullWireValidation, PullIntoAPushProducerRejected) {
+  // A pull fetches what the previous superstep produced; after a push
+  // superstep no installed path serves it. Both a push engine and a hybrid
+  // engine whose last superstep pushed must refuse the request instead of
+  // reaching a b-pull server with no VE-BLOCK store behind it.
+  const auto g = TestGraph();
+  JobConfig hybrid = BaseConfig(EngineMode::kHybrid, 1);
+  hybrid.force_initial_mode = true;
+  hybrid.initial_mode = EngineMode::kPush;
+  for (const JobConfig& cfg : {BaseConfig(EngineMode::kPush, 1), hybrid}) {
+    Engine<PageRankProgram> engine(cfg, PageRankProgram{});
+    ASSERT_TRUE(engine.Load(g).ok());
+    ASSERT_TRUE(engine.RunSuperstep().ok());
+    ASSERT_EQ(engine.stats().supersteps.back().mode, EngineMode::kPush);
+    std::vector<uint8_t> response;
+    EXPECT_FALSE(engine.transport()
+                     .Call(1, 0, RpcMethod::kPullRequest,
+                           Fixed32s({engine.partition().FirstVblockOf(0)})
+                               .AsSlice(),
+                           &response)
+                     .ok())
+        << EngineModeName(cfg.mode);
   }
 }
 
@@ -304,7 +325,7 @@ TEST(PullWireValidation, ResponseGroupsOutsideTheRequestRejected) {
         ASSERT_GE(partition.NumVblocksOf(n), 2u);
       }
       ASSERT_TRUE(engine.RunSuperstep().ok());
-      engine.driver().transport().RegisterHandler(
+      engine.transport().RegisterHandler(
           0, RpcMethod::kPullRequest,
           [&partition, bad](NodeId src, Slice payload, Buffer* response) {
             VertexId dst = static_cast<VertexId>(partition.num_vertices());
@@ -342,7 +363,7 @@ TEST(PullWireValidation, EblockContentsOutsideTheirCellAreCorruption) {
     ASSERT_TRUE(engine.Load(g).ok());
     ASSERT_TRUE(engine.RunSuperstep().ok());
     const RangePartition& partition = engine.partition();
-    NodeState& node = engine.driver().nodes()[0];
+    NodeState& node = engine.nodes()[0];
     for (const std::string& key : node.storage->ListKeys("node0/eblock/")) {
       unsigned src_vb = 0, dst_vb = 0;
       ASSERT_EQ(std::sscanf(key.c_str(), "node0/eblock/%u/%u", &src_vb,
@@ -386,11 +407,10 @@ void ExpectForeignPushRejected(const JobConfig& cfg, uint32_t n_valid) {
   for (const bool past_partition : {false, true}) {
     Engine<PageRankProgram> engine(cfg, PageRankProgram{});
     ASSERT_TRUE(engine.Load(TestGraph()).ok());
-    const std::vector<NodeState>& nodes = engine.driver().nodes();
+    const std::vector<NodeState>& nodes = engine.nodes();
     const VertexId bad = past_partition ? 0xFFFFFFFFu : nodes[1].range.begin;
     const Buffer batch = PushBatch(n_valid, nodes[0].range.begin, bad);
-    ASSERT_TRUE(engine.driver()
-                    .transport()
+    ASSERT_TRUE(engine.transport()
                     .Post(1, 0, RpcMethod::kPushMessages, batch.AsSlice())
                     .ok());
     EXPECT_EQ(engine.RunSuperstep().code(), StatusCode::kInvalidArgument)
@@ -405,7 +425,7 @@ void ExpectForeignBatchLeavesInboxUnchanged(const JobConfig& cfg,
                                             uint32_t n_valid) {
   Engine<PageRankProgram> engine(cfg, PageRankProgram{});
   ASSERT_TRUE(engine.Load(TestGraph()).ok());
-  std::vector<NodeState>& nodes = engine.driver().nodes();
+  std::vector<NodeState>& nodes = engine.nodes();
   NodeState& node = nodes[0];
   const MessageInbox& inbox = node.inbox_next;
   const RecordSlab mem_before = inbox.mem;
@@ -413,7 +433,7 @@ void ExpectForeignBatchLeavesInboxUnchanged(const JobConfig& cfg,
   const Buffer batch =
       PushBatch(n_valid, node.range.begin, nodes[1].range.begin);
   EXPECT_EQ(
-      ApplyPushBatch(node, batch.AsSlice(), engine.driver().push_policy())
+      ApplyPushBatch(node, batch.AsSlice(), engine.push_policy())
           .code(),
       StatusCode::kInvalidArgument);
   EXPECT_EQ(inbox.mem.bytes(), mem_before.bytes());
@@ -449,8 +469,8 @@ TEST(PushWireValidation, BatchStraddlingTheBufferSplitsIntoMemoryAndOneRun) {
   const JobConfig cfg = BaseConfig(EngineMode::kPush, 1);  // B_i = 120
   Engine<PageRankProgram> engine(cfg, PageRankProgram{});
   ASSERT_TRUE(engine.Load(TestGraph()).ok());
-  NodeState& node = engine.driver().nodes()[0];
-  const PushPolicy& policy = engine.driver().push_policy();
+  NodeState& node = engine.nodes()[0];
+  const PushPolicy& policy = engine.push_policy();
   MessageInbox& inbox = node.inbox_next;
   // Record i carries the number i in its payload; destinations descend and
   // repeat, so the run must reorder them stably.
@@ -499,11 +519,10 @@ TEST(PushWireValidation, BodyNotWholeRecordsIsCorruption) {
   Engine<PageRankProgram> engine(BaseConfig(EngineMode::kPush, 1),
                                  PageRankProgram{});
   ASSERT_TRUE(engine.Load(TestGraph()).ok());
-  const VertexId dst = engine.driver().nodes()[0].range.begin;
+  const VertexId dst = engine.nodes()[0].range.begin;
   Buffer batch = PushBatch(2, dst, dst);
   batch.PushBack(0);
-  ASSERT_TRUE(engine.driver()
-                  .transport()
+  ASSERT_TRUE(engine.transport()
                   .Post(1, 0, RpcMethod::kPushMessages, batch.AsSlice())
                   .ok());
   EXPECT_EQ(engine.RunSuperstep().code(), StatusCode::kCorruption);
@@ -513,8 +532,8 @@ TEST(PushWireValidation, BodyNotWholeRecordsIsCorruption) {
 
 /// FNV-1a over every Pull-Respond answer of a whole b-pull run, folded in a
 /// thread-count-independent order: (superstep, requester, server, call).
-/// The answers are produced by a BPullPath serving on the engine's own
-/// driver, exactly what the installed b-pull path would have answered.
+/// The answers are produced by a BPullPath serving on the engine itself,
+/// exactly what the installed b-pull path would have answered.
 template <typename P>
 uint64_t PullResponseDigest(P program, bool combining, bool dedup,
                             uint32_t threads) {
@@ -525,7 +544,7 @@ uint64_t PullResponseDigest(P program, bool combining, bool dedup,
   Engine<P> engine(cfg, program);
   EXPECT_TRUE(engine.Load(TestGraph()).ok());
   EXPECT_GT(engine.partition().num_vblocks(), cfg.num_nodes);
-  SuperstepDriver<P>& driver = engine.driver();
+  Engine<P>& driver = engine;
   BPullPath<P> server(&driver);
   std::mutex mu;
   std::map<std::tuple<int, NodeId, NodeId>, std::vector<uint64_t>> answers;
@@ -598,7 +617,7 @@ uint64_t PushWireDigest(P program, bool sender_combining, uint32_t threads) {
   cfg.max_supersteps = 6;
   Engine<P> engine(cfg, program);
   EXPECT_TRUE(engine.Load(TestGraph()).ok());
-  SuperstepDriver<P>& driver = engine.driver();
+  Engine<P>& driver = engine;
   std::mutex mu;
   std::map<std::tuple<int, NodeId, NodeId>, std::vector<uint64_t>> batches;
   for (NodeId i = 0; i < cfg.num_nodes; ++i) {

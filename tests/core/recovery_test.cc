@@ -7,6 +7,7 @@
 #include "algos/sssp.h"
 #include "core/recovery.h"
 #include "graph/generator.h"
+#include "util/codec.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
 
@@ -88,6 +89,56 @@ TEST(Checkpoint, CorruptImageRejected) {
   Engine<PageRankProgram> unloaded(cfg, PageRankProgram{});
   EXPECT_EQ(unloaded.RestoreCheckpoint(image.AsSlice()).code(),
             StatusCode::kFailedPrecondition);
+}
+
+TEST(Checkpoint, ImageOfAnUninstalledPathRejected) {
+  // A hybrid image taken after a b-pull superstep names the b-pull path,
+  // which a push engine does not install: the restore must fail and leave
+  // the engine runnable instead of arming an empty registry slot.
+  const auto g = TestGraph();
+  JobConfig hybrid = Base(EngineMode::kHybrid);
+  hybrid.force_initial_mode = true;
+  hybrid.initial_mode = EngineMode::kBPull;
+  Engine<PageRankProgram> engine(hybrid, PageRankProgram{});
+  ASSERT_TRUE(engine.Load(g).ok());
+  ASSERT_TRUE(engine.RunSuperstep().ok());
+  ASSERT_EQ(engine.stats().supersteps.back().mode, EngineMode::kBPull);
+  Buffer image;
+  ASSERT_TRUE(engine.WriteCheckpoint(&image).ok());
+
+  Engine<PageRankProgram> push(Base(EngineMode::kPush), PageRankProgram{});
+  ASSERT_TRUE(push.Load(g).ok());
+  EXPECT_EQ(push.RestoreCheckpoint(image.AsSlice()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(push.superstep(), 0);
+  EXPECT_TRUE(push.RunSuperstep().ok());
+}
+
+TEST(Checkpoint, OutOfRangeModeByteRejected) {
+  // An image with a valid checksum whose mode byte names no EngineMode is
+  // rejected before it indexes the path registry.
+  const auto g = TestGraph();
+  const JobConfig cfg = Base(EngineMode::kPush);
+  Engine<PageRankProgram> engine(cfg, PageRankProgram{});
+  ASSERT_TRUE(engine.Load(g).ok());
+  ASSERT_TRUE(engine.RunSuperstep().ok());
+  Buffer image;
+  ASSERT_TRUE(engine.WriteCheckpoint(&image).ok());
+
+  // Header: fixed32 magic, fixed32 version, varint superstep (one byte at
+  // superstep 1), then the mode byte; the FNV-1a trailer is recomputed.
+  constexpr size_t kModeOffset = 9;
+  std::vector<uint8_t> body(image.data(), image.data() + image.size() - 8);
+  ASSERT_EQ(body[kModeOffset], static_cast<uint8_t>(EngineMode::kPush));
+  body[kModeOffset] = 0xFF;
+  Buffer forged;
+  forged.Append(body.data(), body.size());
+  Encoder(&forged).PutFixed64(Fnv1a64(body.data(), body.size()));
+
+  Engine<PageRankProgram> fresh(cfg, PageRankProgram{});
+  ASSERT_TRUE(fresh.Load(g).ok());
+  EXPECT_EQ(fresh.RestoreCheckpoint(forged.AsSlice()).code(),
+            StatusCode::kInvalidArgument);
 }
 
 class RecoveryModeTest : public ::testing::TestWithParam<EngineMode> {};
